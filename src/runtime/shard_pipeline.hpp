@@ -2,14 +2,19 @@
 //
 // This is the body a shard thread runs -- window grouping, per-query
 // incremental matchers, shedders, keep masks, event-time retained windows --
-// extracted from StreamEngine's shard loop into a self-contained object so
-// the engine can instantiate it at different granularities:
+// as a self-contained object, one per PARTITION.  The engine's one shard
+// runner dispatches ingress blocks to the partitions resident on it:
 //
-//  * classic / multi-producer mode: ONE pipeline per shard, fed ring blocks;
-//  * rebalance mode: one pipeline per LOGICAL PARTITION, so a hot partition
-//    can migrate between shard threads with its whole pipeline state (the
+//  * classic / multi-producer mode: L = K partitions, partition i fixed on
+//    shard i, so each shard hosts exactly one pipeline and feeds it whole
+//    blocks;
+//  * rebalance mode: L >= K logical partitions, so a hot partition can
+//    migrate between shard threads with its whole pipeline state (the
 //    object is the unit of migration), and the output stays bit-identical
 //    to the per-partition serial golden no matter where it ran.
+//
+// The engine's merge stage reads outputs per partition, so the canonical
+// order is (key, partition, index) in every mode.
 //
 // The pipeline is single-threaded by contract: exactly one thread calls its
 // methods at a time.  Cross-thread handoff (rebalance migration) must

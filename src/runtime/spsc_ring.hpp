@@ -31,7 +31,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -212,11 +214,13 @@ class SpscRing {
 };
 
 /// A bank of P single-producer lanes feeding ONE consumer, merged back into
-/// the global stream order by sequence number.  This is the multi-producer
+/// the global stream order by sequence number.  This is every shard's
 /// ingestion stage: each producer thread owns exactly one lane (a plain
 /// SpscRing, so every push stays wait-free and lock-free), and the consumer
 /// runs a deterministic P-way merge, emitting items in strictly increasing
 /// `.seq` order regardless of how producer pushes interleave in real time.
+/// With one lane (a single router) the merge is the identity: front_block()
+/// hands out the lone ring's zero-copy view and no seq order is required.
 ///
 /// Requirements on T and the producers:
 ///   - T has a public integral `seq` field;
@@ -319,6 +323,77 @@ class SpscLaneSet {
     return Merge::kItems;
   }
 
+  /// Producer side: closes every lane (end of stream for all producers).
+  void close() {
+    for (std::size_t p = 0; p < lanes_.size(); ++p) close_lane(p);
+  }
+
+  /// Consumer side, the block read of a shard runner: a view of up to `max`
+  /// items in global seq order that stays queued until release(n) -- the
+  /// lane-set analogue of SpscRing::front_block().  With ONE lane this is
+  /// the lone ring's zero-copy view (no merge, no copy); with P > 1 lanes
+  /// merge_pop() fills a consumer-owned block buffer.  kItems -> `out` is
+  /// non-empty; kStall -> nothing ready yet (wait and retry); kDone -> every
+  /// lane is closed and drained.
+  Merge front_block(std::size_t max, std::span<const T>& out) {
+    if (lanes_.size() == 1) {
+      SpscRing<T>& ring = lanes_[0]->ring;
+      out = ring.front_block(max);
+      if (!out.empty()) return Merge::kItems;
+      if (!ring.closed()) return Merge::kStall;
+      // Same never-miss ordering as pop_or_closed(): closed was observed
+      // (acquire) after an empty view, so one more look decides.
+      out = ring.front_block(max);
+      return out.empty() ? Merge::kDone : Merge::kItems;
+    }
+    if (buf_pos_ == buf_len_) {
+      if (buf_.size() < max) buf_.resize(max);  // first call only
+      buf_pos_ = 0;
+      const Merge st = merge_pop(buf_.data(), max, buf_len_);
+      if (buf_len_ == 0) {
+        out = {};
+        return st;
+      }
+    }
+    out = {buf_.data() + buf_pos_, std::min(max, buf_len_ - buf_pos_)};
+    return Merge::kItems;
+  }
+
+  /// Consumer side: dequeues the first `n` items of the last front_block()
+  /// view (a prefix release keeps the rest for the next view).
+  void release(std::size_t n) {
+    if (lanes_.size() == 1) {
+      lanes_[0]->ring.release(n);
+    } else {
+      buf_pos_ += n;
+    }
+  }
+
+  /// Consumer side: queued items including the merged-but-unreleased block
+  /// (the shard's depth gauge; size() is the cross-thread snapshot).
+  std::size_t consumer_size() const { return size() + (buf_len_ - buf_pos_); }
+
+  /// Consumer side, failure path: discards everything until every lane is
+  /// closed and drained, so no producer blocks forever on a full lane.
+  /// Drains the lanes round-robin -- one open lane never starves another
+  /// producer's -- and terminates once the producers close their lanes
+  /// (finish() / abort() close all of them).
+  void discard_until_closed() {
+    T item;
+    for (;;) {
+      bool all_done = true;
+      for (auto& lp : lanes_) {
+        typename SpscRing<T>::Pop st;
+        do {
+          st = lp->ring.pop_or_closed(item);
+        } while (st == SpscRing<T>::Pop::kItem);
+        if (st != SpscRing<T>::Pop::kDone) all_done = false;
+      }
+      if (all_done) return;
+      std::this_thread::yield();
+    }
+  }
+
   /// Approximate total occupancy across lanes (queue-depth signal).
   std::size_t size() const {
     std::size_t n = 0;
@@ -359,6 +434,11 @@ class SpscLaneSet {
   }
 
   std::vector<std::unique_ptr<Lane>> lanes_;
+  // Consumer-owned block buffer of front_block() when P > 1: merged items
+  // [buf_pos_, buf_len_) are handed out but not yet released.
+  std::vector<T> buf_;
+  std::size_t buf_pos_ = 0;
+  std::size_t buf_len_ = 0;
 };
 
 }  // namespace espice

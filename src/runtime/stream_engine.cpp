@@ -13,6 +13,7 @@
 #include "runtime/backoff.hpp"
 #include "runtime/shard_pipeline.hpp"
 #include "runtime/spsc_ring.hpp"
+#include "runtime/stall_point.hpp"
 
 namespace espice {
 
@@ -24,8 +25,15 @@ namespace {
 /// once per block, not per event.
 constexpr std::size_t kShardBlock = 256;
 
-/// checkpoint_target sentinel: no cut armed.
-constexpr std::uint64_t kNoCheckpoint = ~std::uint64_t{0};
+std::string error_text(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "non-standard exception";
+  }
+}
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -39,7 +47,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 constexpr std::uint64_t kShardIdleSleepUs = 200;
 
 /// One depth/peak sample per drained block plus a busy-time stamp around its
-/// processing -- shared by all three deterministic runner loops.
+/// processing.
 struct OccupancyMeter {
   ShardStats& stats;
   std::chrono::steady_clock::time_point t0{};
@@ -52,9 +60,43 @@ struct OccupancyMeter {
   void block_done() { stats.busy_seconds += seconds_since(t0); }
 };
 
-/// Mode-exclusion rules for multi-producer ingestion and rebalancing
-/// (shared by the constructor's fail-fast checks and validate()).
-void validate_modes(const StreamEngineConfig& c) {
+/// Canonical merge of per-unit lists (each in unit-local order) into one
+/// list ordered by (key, unit, in-unit index) -- unit-count- and
+/// thread-schedule-independent.
+template <typename T, typename KeyFn>
+std::vector<T> merge_units(std::vector<std::vector<T>> per_unit, KeyFn key) {
+  struct Tagged {
+    std::uint64_t key;
+    std::size_t unit;
+    std::size_t index;
+  };
+  std::vector<Tagged> order;
+  std::size_t total = 0;
+  for (const auto& v : per_unit) total += v.size();
+  order.reserve(total);
+  for (std::size_t u = 0; u < per_unit.size(); ++u) {
+    for (std::size_t i = 0; i < per_unit[u].size(); ++i) {
+      order.push_back(Tagged{key(per_unit[u][i]), u, i});
+    }
+  }
+  std::sort(order.begin(), order.end(), [](const Tagged& a, const Tagged& b) {
+    return std::tie(a.key, a.unit, a.index) < std::tie(b.key, b.unit, b.index);
+  });
+  std::vector<T> merged;
+  merged.reserve(total);
+  for (const Tagged& t : order) {
+    merged.push_back(std::move(per_unit[t.unit][t.index]));
+  }
+  return merged;
+}
+
+/// Every check that does not depend on the query set: shard/ring sizes,
+/// the mode-exclusion rules, durability, event time and the adaptive
+/// config.  The constructor runs it fail-fast (add_query() may still
+/// register queries); validate() runs it before the legacy query checks.
+void validate_engine(const StreamEngineConfig& c) {
+  ESPICE_REQUIRE(c.shards > 0, "engine needs at least one shard");
+  ESPICE_REQUIRE(c.ring_capacity > 0, "ring capacity must be positive");
   if (c.producers > 0) {
     ESPICE_REQUIRE(!c.adaptive.has_value(),
                    "multi-producer ingestion requires deterministic mode");
@@ -84,34 +126,28 @@ void validate_modes(const StreamEngineConfig& c) {
     ESPICE_REQUIRE(!c.durability.has_value(),
                    "rebalancing excludes durability (per-shard checkpoint "
                    "cuts assume a fixed placement)");
-    ESPICE_REQUIRE(c.latency_sample_every == 0,
-                   "latency marks do not follow migrating partitions");
     ESPICE_REQUIRE(c.rebalance->hot_factor >= 1.0,
                    "rebalance.hot_factor below 1 would thrash");
   }
+  if (c.durability.has_value()) {
+    ESPICE_REQUIRE(!c.adaptive.has_value(),
+                   "durability requires deterministic mode (adaptive results "
+                   "depend on the wall clock and are not replayable)");
+    ESPICE_REQUIRE(!c.durability->dir.empty(), "durability.dir must be set");
+  }
+  if (c.event_time.has_value()) {
+    ESPICE_REQUIRE(!c.adaptive.has_value(),
+                   "event time requires deterministic mode");
+    c.event_time->validate();
+  }
+  if (c.adaptive.has_value()) c.adaptive->validate();
 }
 
 }  // namespace
 
 void StreamEngineConfig::validate() const {
-  ESPICE_REQUIRE(shards > 0, "engine needs at least one shard");
-  ESPICE_REQUIRE(ring_capacity > 0, "ring capacity must be positive");
-  validate_modes(*this);
-  if (durability.has_value()) {
-    ESPICE_REQUIRE(!adaptive.has_value(),
-                   "durability requires deterministic mode (adaptive results "
-                   "depend on the wall clock and are not replayable)");
-    ESPICE_REQUIRE(!durability->dir.empty(), "durability.dir must be set");
-  }
-  if (event_time.has_value()) {
-    ESPICE_REQUIRE(!adaptive.has_value(),
-                   "event time requires deterministic mode");
-    event_time->validate();
-  }
-  if (adaptive.has_value()) {
-    adaptive->validate();
-    return;
-  }
+  validate_engine(*this);
+  if (adaptive.has_value()) return;
   query.pattern.validate();
   query.window.validate();
   if (shedder_factory != nullptr) {
@@ -136,20 +172,19 @@ struct StreamEngine::Shard {
   /// never blocks), so a lagging shard costs coverage, not throughput.
   static constexpr std::size_t kMarkRingCapacity = 256;
 
-  Shard(std::size_t index_, std::size_t ring_capacity, std::size_t num_queries)
-      : ring(ring_capacity), marks(kMarkRingCapacity) {
+  Shard(std::size_t index_, std::size_t lanes, std::size_t ring_capacity,
+        std::size_t partitions)
+      : in(lanes, ring_capacity), marks(kMarkRingCapacity) {
     stats.shard = index_;
-    query_matches.resize(num_queries);
-    query_counters.resize(num_queries);
-    query_revisions.resize(num_queries);
+    parts.resize(partitions);
   }
 
   /// Router side: account `n` ring enqueues and emit a latency mark when
-  /// the sampling threshold is crossed.  Punctuation enqueues pass
-  /// data=false -- they advance `routed` (so mark counts stay aligned with
-  /// the shard's consumed counter, which counts them too) but never carry
-  /// a mark.  Callers gate on latency_sample_every != 0, keeping the
-  /// disabled hot path free of this entirely.
+  /// the sampling threshold is crossed.  Punctuation and migration-marker
+  /// enqueues pass data=false -- they advance `routed` (so mark counts stay
+  /// aligned with the shard's consumed counter, which counts them too) but
+  /// never carry a mark.  Callers gate on latency_sample_every != 0,
+  /// keeping the disabled hot path free of this entirely.
   void note_enqueued(std::size_t n, bool data, std::size_t sample_every) {
     routed += n;
     if (data && routed >= next_mark) {
@@ -170,63 +205,49 @@ struct StreamEngine::Shard {
     }
   }
 
-  /// Per-query outcome counters of this shard (summed into QueryReport).
-  struct QueryCounters {
-    std::uint64_t memberships = 0;       ///< offered pairs in its group
-    std::uint64_t memberships_kept = 0;  ///< pairs this query kept
-    std::uint64_t shed_decisions = 0;
-    std::uint64_t shed_drops = 0;
-  };
-
-  SpscRing<Event> ring;
-  /// Multi-producer mode only: P producer-private lanes replacing `ring`
-  /// as the shard's input (merged deterministically on seq).
-  std::unique_ptr<SpscLaneSet<Event>> lanes;
+  /// Ingress: P >= 1 producer lanes merged on seq.  Single-router modes
+  /// use one lane (the router's ring; the merge is the identity and reads
+  /// are zero-copy); multi-producer mode has one lane per producer.
+  SpscLaneSet<Event> in;
   std::thread thread;
-  /// Classic / multi-producer mode: the shard's single pipeline (built on
-  /// the shard thread, read by finish() after the join).
-  std::unique_ptr<DetPipeline> pipeline;
-  /// Rebalance mode: resident partition pipelines, indexed by partition
-  /// (null when the partition lives elsewhere).  A migration moves the
-  /// unique_ptr between shards through the engine's mailbox.
+  /// Deterministic modes: resident partition pipelines, indexed by
+  /// partition (null where the partition lives elsewhere).  Classic and
+  /// multi-producer mode place partition i on shard i for good; rebalance
+  /// mode moves the unique_ptr between shards through the engine's mailbox.
+  /// Built on the shard thread, read by finish() after the join.
   std::vector<std::unique_ptr<DetPipeline>> parts;
-  /// Per-query shedders, built by the factories on the router thread at
-  /// start() (the documented factory contract); each is then owned and
-  /// driven by this shard's thread only.
-  std::vector<std::unique_ptr<Shedder>> shedders;
-  /// Per query, this shard's matches in shard-local detection order.
-  std::vector<std::vector<ComplexEvent>> query_matches;
-  std::vector<QueryCounters> query_counters;
-  /// Event-time kRevise: per query, this shard's window re-emissions in
-  /// shard-local detection order.
-  std::vector<std::vector<RevisionRecord>> query_revisions;
-  /// Event-time kSideOutput: late captures in shard-local arrival order.
-  std::vector<SideOutputRecord> side_outputs;
+  /// Adaptive mode: the shard's complex events in detection order.
+  std::vector<ComplexEvent> adaptive_matches;
   ShardStats stats;
   std::exception_ptr error;
 
   // --- latency sampling (router produces, shard consumes) ----------------
   /// Every-Nth-enqueue timestamp marks; tiny and best-effort by design.
   SpscRing<LatencyMark> marks;
-  /// Router-owned: total ring enqueues (data + punctuations) and the
+  /// Router-owned: total ring enqueues (data + control records) and the
   /// routed-count threshold that triggers the next mark.
   std::uint64_t routed = 0;
   std::uint64_t next_mark = 0;
 
   // --- durability checkpoint handshake (router <-> shard thread) ---------
-  /// The router arms this with the exact number of events the shard must
-  /// have consumed at the cut; the shard drains up to it (never past),
-  /// serializes its pipeline into `checkpoint_blob`, publishes via
-  /// `checkpoint_ready` and holds until the router clears the target.
-  std::atomic<std::uint64_t> checkpoint_target{kNoCheckpoint};
-  std::atomic<bool> checkpoint_ready{false};
+  /// Odd while a cut is armed.  The router stores the cut, then bumps the
+  /// epoch to arm (release); it bumps it again to release the cut once it
+  /// has copied the blob (teardown()/abort() release the same way).  The
+  /// shard serves epoch e by draining up to `checkpoint_cut` (never past),
+  /// serializing into `checkpoint_blob` and publishing `checkpoint_served
+  /// = e`, then holds only while the epoch is still e.  A re-arm at an
+  /// unchanged cut is a NEW epoch, so a shard that slept through the
+  /// release still sees it and serves again.
+  std::atomic<std::uint64_t> checkpoint_epoch{0};
+  std::atomic<std::uint64_t> checkpoint_cut{0};
+  std::atomic<std::uint64_t> checkpoint_served{0};
   std::vector<std::byte> checkpoint_blob;
   /// Set (release) by a shard entering its failure drain, so the router's
   /// checkpoint wait bails out instead of deadlocking on a dead pipeline.
   std::atomic<bool> failed{false};
-  /// Ring items the pipeline consumed so far (one relaxed store per drained
-  /// block) -- the last-progress gauge EngineHealth reports, and the only
-  /// shard-side state the router may read before joining.
+  /// Ring items the pipelines consumed so far (one relaxed store per
+  /// drained block) -- the last-progress gauge EngineHealth reports, and
+  /// the only shard-side state the router may read before joining.
   std::atomic<std::uint64_t> progress{0};
 };
 
@@ -243,12 +264,14 @@ std::size_t StreamEngine::shard_index(std::uint64_t key, std::size_t shards) {
   return static_cast<std::size_t>(partition_hash(key) % shards);
 }
 
+std::uint64_t StreamEngine::key_of(const Event& e) const {
+  return config_.key_of ? config_.key_of(e) : static_cast<std::uint64_t>(e.type);
+}
+
 std::size_t StreamEngine::shard_of(const Event& e) const {
-  const std::uint64_t key =
-      config_.key_of ? config_.key_of(e) : static_cast<std::uint64_t>(e.type);
   // Same mapping as shard_index(), with the modulo replaced by a mask when
   // the shard count is a power of two (h % K == h & (K-1) for such K).
-  const std::uint64_t h = partition_hash(key);
+  const std::uint64_t h = partition_hash(key_of(e));
   const std::size_t k = config_.shards;
   return static_cast<std::size_t>((k & (k - 1)) == 0 ? (h & (k - 1))
                                                      : (h % k));
@@ -256,25 +279,10 @@ std::size_t StreamEngine::shard_of(const Event& e) const {
 
 StreamEngine::StreamEngine(StreamEngineConfig config)
     : config_(std::move(config)) {
-  // Only the common fields are checked here: the query set is not final
-  // until start() (add_query() may still register more), where the full
-  // validation runs.
-  ESPICE_REQUIRE(config_.shards > 0, "engine needs at least one shard");
-  ESPICE_REQUIRE(config_.ring_capacity > 0, "ring capacity must be positive");
-  validate_modes(config_);
-  if (config_.durability.has_value()) {
-    ESPICE_REQUIRE(!config_.adaptive.has_value(),
-                   "durability requires deterministic mode (adaptive results "
-                   "depend on the wall clock and are not replayable)");
-    ESPICE_REQUIRE(!config_.durability->dir.empty(),
-                   "durability.dir must be set");
-  }
-  if (config_.event_time.has_value()) {
-    ESPICE_REQUIRE(!config_.adaptive.has_value(),
-                   "event time requires deterministic mode");
-    config_.event_time->validate();
-  }
-  if (config_.adaptive.has_value()) config_.adaptive->validate();
+  // Only the query-independent fields are checked here: the query set is
+  // not final until start() (add_query() may still register more), where
+  // the full validation runs.
+  validate_engine(config_);
 }
 
 std::size_t StreamEngine::add_query(EngineQuery q) {
@@ -333,7 +341,6 @@ void StreamEngine::start() {
     if (pushed_per_shard_.empty()) pushed_per_shard_.assign(config_.shards, 0);
   }
 
-  const std::size_t num_queries = std::max<std::size_t>(queries_.size(), 1);
   const bool rebalancing = config_.rebalance.has_value();
   if (config_.shards > 1 || rebalancing) {
     staging_.resize(config_.shards);
@@ -342,21 +349,27 @@ void StreamEngine::start() {
     for (auto& buf : staging_) buf.reserve(kShardBlock);
     staging_off_.assign(config_.shards, 0);
   }
+  // Deterministic modes run one pipeline per PARTITION: L = K partitions
+  // with partition i fixed on shard i (classic, multi-producer), or
+  // L = rebalance.partitions migrating ones.  Shedders are built here, per
+  // partition, on the router thread (the documented factory contract) --
+  // the factory's argument is the partition, which is the shard in the
+  // fixed-placement modes -- and adopted by the pipeline that owns them.
+  const std::size_t nparts = config_.adaptive.has_value() ? 0
+                             : rebalancing ? config_.rebalance->partitions
+                                           : config_.shards;
+  part_shedders_.resize(nparts);
+  for (std::size_t p = 0; p < nparts; ++p) {
+    for (const EngineQuery& q : queries_) {
+      part_shedders_[p].push_back(q.shedder_factory ? q.shedder_factory(p)
+                                                    : nullptr);
+    }
+  }
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    shards_.push_back(
-        std::make_unique<Shard>(i, config_.ring_capacity, num_queries));
-    if (config_.producers > 0) {
-      shards_.back()->lanes = std::make_unique<SpscLaneSet<Event>>(
-          config_.producers, config_.ring_capacity);
-    }
-    if (!config_.adaptive.has_value() && !rebalancing) {
-      auto& shedders = shards_.back()->shedders;
-      shedders.reserve(queries_.size());
-      for (const EngineQuery& q : queries_) {
-        shedders.push_back(q.shedder_factory ? q.shedder_factory(i) : nullptr);
-      }
-    }
+    shards_.push_back(std::make_unique<Shard>(
+        i, std::max<std::size_t>(config_.producers, 1), config_.ring_capacity,
+        nparts));
   }
   if (config_.producers > 0) {
     mp_staging_.resize(config_.producers);
@@ -366,9 +379,9 @@ void StreamEngine::start() {
     }
     mp_off_.assign(config_.producers,
                    std::vector<std::size_t>(config_.shards, 0));
+    mp_meters_ = std::make_unique<ProducerMeter[]>(config_.producers);
   }
   if (rebalancing) {
-    const std::size_t nparts = config_.rebalance->partitions;
     // Initial placement: round-robin, so every shard starts with an equal
     // slice of the partition space.
     placement_.resize(nparts);
@@ -378,17 +391,6 @@ void StreamEngine::start() {
     for (std::size_t p = 0; p < nparts; ++p) {
       mailbox_[p].store(nullptr, std::memory_order_relaxed);
     }
-    // Shedders are per PARTITION here (the factory's "shard" argument is
-    // the partition index): a partition's shedding state migrates with it.
-    part_shedders_.resize(nparts);
-    for (std::size_t p = 0; p < nparts; ++p) {
-      auto& shedders = part_shedders_[p];
-      shedders.reserve(queries_.size());
-      for (const EngineQuery& q : queries_) {
-        shedders.push_back(q.shedder_factory ? q.shedder_factory(p) : nullptr);
-      }
-    }
-    for (auto& s : shards_) s->parts.resize(nparts);
   }
   start_ = std::chrono::steady_clock::now();
   try {
@@ -396,26 +398,15 @@ void StreamEngine::start() {
       Shard* s = shard.get();
       if (config_.adaptive.has_value()) {
         s->thread = std::thread([this, s] { run_adaptive_shard(*s); });
-      } else if (config_.producers > 0) {
-        s->thread = std::thread([this, s] { run_merged_shard(*s); });
-      } else if (rebalancing) {
-        s->thread = std::thread([this, s] { run_partitioned_shard(*s); });
       } else {
-        s->thread = std::thread([this, s] { run_deterministic_shard(*s); });
+        s->thread = std::thread([this, s] { run_shard(*s); });
       }
     }
   } catch (...) {
     // Thread spawn failed mid-loop: release the shards already running
-    // (close their rings, join) before rethrowing -- destroying a joinable
-    // std::thread would terminate the process.
-    for (auto& s : shards_) {
-      s->ring.close();
-      if (s->lanes != nullptr) {
-        for (std::size_t p = 0; p < s->lanes->lane_count(); ++p) {
-          s->lanes->close_lane(p);
-        }
-      }
-    }
+    // (close their ingress, join) before rethrowing -- destroying a
+    // joinable std::thread would terminate the process.
+    for (auto& s : shards_) s->in.close();
     for (auto& s : shards_) {
       if (s->thread.joinable()) s->thread.join();
     }
@@ -429,28 +420,28 @@ StreamEngine::~StreamEngine() {
 
 void StreamEngine::teardown() noexcept {
   // Release any armed checkpoint cut first: a shard holding a cut waits for
-  // the router to clear its target and would never observe the ring close.
-  for (auto& s : shards_) {
-    s->checkpoint_target.store(kNoCheckpoint, std::memory_order_release);
-  }
-  for (auto& s : shards_) {
-    s->ring.close();
-    if (s->lanes != nullptr) {
-      for (std::size_t p = 0; p < s->lanes->lane_count(); ++p) {
-        s->lanes->close_lane(p);
-      }
-    }
-  }
+  // the router to release its epoch and would never observe the close.
+  for (auto& s : shards_) release_checkpoint(*s);
+  for (auto& s : shards_) s->in.close();
   for (auto& s : shards_) {
     if (s->thread.joinable()) s->thread.join();
   }
+  reclaim_mailbox();
+}
+
+void StreamEngine::reclaim_mailbox() noexcept {
   // An aborted migration can leave a pipeline parked in the mailbox (the
   // exporter handed it off, the importer died or never ran): reclaim it.
-  if (mailbox_ != nullptr) {
-    for (std::size_t p = 0; p < placement_.size(); ++p) {
-      delete mailbox_[p].exchange(nullptr, std::memory_order_acquire);
-    }
+  // The success path always drains both markers before the rings close.
+  if (mailbox_ == nullptr) return;
+  for (std::size_t p = 0; p < placement_.size(); ++p) {
+    delete mailbox_[p].exchange(nullptr, std::memory_order_acquire);
   }
+}
+
+void StreamEngine::release_checkpoint(Shard& s) noexcept {
+  const std::uint64_t e = s.checkpoint_epoch.load(std::memory_order_relaxed);
+  if ((e & 1) != 0) s.checkpoint_epoch.store(e + 1, std::memory_order_release);
 }
 
 void StreamEngine::abort() noexcept {
@@ -475,15 +466,7 @@ EngineHealth StreamEngine::health() const {
     sh.last_progress = s->progress.load(std::memory_order_relaxed);
     if (sh.failed) {
       h.state = EngineState::kFailed;  // even if the router has not noticed
-      if (s->error != nullptr) {
-        try {
-          std::rethrow_exception(s->error);
-        } catch (const std::exception& e) {
-          sh.error = e.what();
-        } catch (...) {
-          sh.error = "non-standard exception";
-        }
-      }
+      if (s->error != nullptr) sh.error = error_text(s->error);
     }
     h.shards.push_back(std::move(sh));
   }
@@ -504,16 +487,9 @@ void StreamEngine::ensure_accepting(const char* op) {
 
 void StreamEngine::fail_for_shard(Shard& s) {
   state_ = EngineState::kFailed;
-  std::string what = "unknown error";
-  if (s.error != nullptr) {  // published before failed (release/acquire)
-    try {
-      std::rethrow_exception(s.error);
-    } catch (const std::exception& e) {
-      what = e.what();
-    } catch (...) {
-      what = "non-standard exception";
-    }
-  }
+  // s.error is published before `failed` (release/acquire).
+  const std::string what =
+      s.error != nullptr ? error_text(s.error) : "unknown error";
   last_error_ = "shard " + std::to_string(s.stats.shard) +
                 " failed after consuming " +
                 std::to_string(s.progress.load(std::memory_order_relaxed)) +
@@ -553,24 +529,7 @@ void StreamEngine::push(const Event& e) {
   } else {
     si = shard_of(e);
   }
-  Shard& s = *shards_[si];
-  if (!s.ring.try_push(e)) {
-    // Backpressure: the shard is the bottleneck; back the router off
-    // (yield, then bounded sleeps) until a slot frees up.  The counters
-    // are router-owned, so plain accumulation.  Every pass polls the
-    // shard's failure flag -- a dead consumer never frees slots, so a
-    // waiter that did not would hang the router forever.
-    BackoffWaiter waiter(s.stats.shard);
-    do {
-      if (s.failed.load(std::memory_order_acquire)) fail_for_shard(s);
-      waiter.wait();
-    } while (!s.ring.try_push(e));
-    s.stats.router_backpressure_waits += waiter.waits();
-    s.stats.router_stall_seconds += waiter.stall_seconds();
-  }
-  if (config_.latency_sample_every != 0) {
-    s.note_enqueued(1, /*data=*/true, config_.latency_sample_every);
-  }
+  enqueue(*shards_[si], e, /*data=*/true);
   ++pushed_;
   if (config_.event_time.has_value()) {
     if (!router_max_valid_ || e.seq > router_max_seq_) {
@@ -593,24 +552,33 @@ void StreamEngine::push(const Event& e) {
   maybe_heartbeat();
 }
 
+void StreamEngine::enqueue(Shard& s, const Event& e, bool data) {
+  SpscRing<Event>& ring = s.in.lane(0);
+  if (!ring.try_push(e)) {
+    // Backpressure: the shard is the bottleneck; back the router off
+    // (yield, then bounded sleeps) until a slot frees up.  The counters
+    // are router-owned, so plain accumulation.  Terminates: every pass
+    // polls the shard's failure flag (a dead consumer never frees slots,
+    // a live one releases a block per pass of its loop).
+    BackoffWaiter waiter(s.stats.shard);
+    do {
+      if (s.failed.load(std::memory_order_acquire)) fail_for_shard(s);
+      waiter.wait();
+    } while (!ring.try_push(e));
+    s.stats.router_backpressure_waits += waiter.waits();
+    s.stats.router_stall_seconds += waiter.stall_seconds();
+  }
+  if (config_.latency_sample_every != 0) {
+    s.note_enqueued(1, data, config_.latency_sample_every);
+  }
+}
+
 void StreamEngine::route_punctuation(const Event& p) {
   // Broadcast: every shard's substream carries the watermark at this
   // point of its arrival order (the rings are FIFO, so it orders after
   // everything routed before it and ahead of everything after).
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& s = *shards_[i];
-    if (!s.ring.try_push(p)) {
-      BackoffWaiter waiter(s.stats.shard);
-      do {
-        if (s.failed.load(std::memory_order_acquire)) fail_for_shard(s);
-        waiter.wait();
-      } while (!s.ring.try_push(p));
-      s.stats.router_backpressure_waits += waiter.waits();
-      s.stats.router_stall_seconds += waiter.stall_seconds();
-    }
-    if (config_.latency_sample_every != 0) {
-      s.note_enqueued(1, /*data=*/false, config_.latency_sample_every);
-    }
+    enqueue(*shards_[i], p, /*data=*/false);
     if (log_ != nullptr) ++pushed_per_shard_[i];
   }
   ++pushed_;
@@ -644,7 +612,7 @@ void StreamEngine::bulk_push_shard(Shard& s, const Event* data, std::size_t n) {
   const std::size_t total = n;
   BackoffWaiter waiter(s.stats.shard);
   while (n > 0) {
-    const std::size_t pushed = s.ring.try_push_bulk(data, n);
+    const std::size_t pushed = s.in.lane(0).try_push_bulk(data, n);
     if (pushed == 0) {
       if (s.failed.load(std::memory_order_acquire)) fail_for_shard(s);
       waiter.wait();
@@ -689,7 +657,7 @@ void StreamEngine::flush_staged() {
       if (off >= size) continue;
       Shard& sh = *shards_[s];
       const std::size_t n =
-          sh.ring.try_push_bulk(staging_[s].data() + off, size - off);
+          sh.in.lane(0).try_push_bulk(staging_[s].data() + off, size - off);
       if (n == 0) continue;
       progress = true;
       off += n;
@@ -721,6 +689,47 @@ void StreamEngine::flush_staged() {
   }
 }
 
+void StreamEngine::stage(std::span<const Event> chunk) {
+  for (auto& buf : staging_) buf.clear();
+  if (!placement_.empty()) {
+    const std::size_t nparts = placement_.size();
+    for (const Event& e : chunk) {
+      const std::size_t p = shard_index(key_of(e), nparts);
+      ++part_counts_[p];
+      staging_[placement_[p]].push_back(e);
+    }
+    return;
+  }
+  // Routing hot loop.  The key_of null check is hoisted out of the
+  // per-event loop, and a power-of-two shard count replaces the modulo
+  // with a mask -- an IDENTICAL mapping (hash % K == hash & (K-1) for K a
+  // power of two), so goldens are unaffected.
+  const std::size_t k = config_.shards;
+  const std::uint64_t mask = k - 1;
+  if (config_.key_of) {
+    const auto& key_of = config_.key_of;
+    if ((k & (k - 1)) == 0) {
+      for (const Event& e : chunk) {
+        staging_[partition_hash(key_of(e)) & mask].push_back(e);
+      }
+    } else {
+      for (const Event& e : chunk) {
+        staging_[partition_hash(key_of(e)) % k].push_back(e);
+      }
+    }
+  } else {
+    if ((k & (k - 1)) == 0) {
+      for (const Event& e : chunk) {
+        staging_[partition_hash(e.type) & mask].push_back(e);
+      }
+    } else {
+      for (const Event& e : chunk) {
+        staging_[partition_hash(e.type) % k].push_back(e);
+      }
+    }
+  }
+}
+
 void StreamEngine::push_data_segment(std::span<const Event> events) {
   if (events.empty()) return;
   if (config_.shards == 1 && placement_.empty()) {
@@ -728,41 +737,24 @@ void StreamEngine::push_data_segment(std::span<const Event> events) {
     // copy, bulk enqueue straight from the caller's span.
     bulk_push_shard(*shards_[0], events.data(), events.size());
     if (log_ != nullptr) pushed_per_shard_[0] += events.size();
-  } else if (!placement_.empty()) {
+  } else {
     // Rebalance routing must interleave with the decision cadence even
     // inside one large batch: route in chunks that stop exactly at the
     // interval boundary, flush, then let decide_moves() emit its migration
     // markers.  Flushing BEFORE deciding is load-bearing -- markers go
     // straight into the rings, so any event still staged under the old
     // placement would otherwise arrive at its old shard behind the export
-    // marker, after the pipeline left.
-    const std::uint64_t interval = config_.rebalance->interval_events;
-    const std::size_t nparts = placement_.size();
+    // marker, after the pipeline left.  Fixed placement routes the whole
+    // segment as one chunk.
     std::size_t i = 0;
     while (i < events.size()) {
-      const std::uint64_t room =
-          interval > window_routed_ ? interval - window_routed_ : 1;
-      const std::size_t take = static_cast<std::size_t>(
-          std::min<std::uint64_t>(events.size() - i, room));
-      const std::span<const Event> chunk = events.subspan(i, take);
-      for (auto& buf : staging_) buf.clear();
-      if (config_.key_of) {
-        const auto& key_of = config_.key_of;
-        for (const Event& e : chunk) {
-          const auto p =
-              static_cast<std::size_t>(partition_hash(key_of(e)) % nparts);
-          ++part_counts_[p];
-          staging_[placement_[p]].push_back(e);
-        }
-      } else {
-        for (const Event& e : chunk) {
-          const auto p =
-              static_cast<std::size_t>(partition_hash(e.type) % nparts);
-          ++part_counts_[p];
-          staging_[placement_[p]].push_back(e);
-        }
+      std::size_t take = events.size() - i;
+      if (!placement_.empty()) {
+        const std::uint64_t interval = config_.rebalance->interval_events;
+        take = static_cast<std::size_t>(std::min<std::uint64_t>(
+            take, interval > window_routed_ ? interval - window_routed_ : 1));
       }
-      window_routed_ += take;
+      stage(events.subspan(i, take));
       flush_staged();
       if (log_ != nullptr) {
         for (std::size_t s = 0; s < staging_.size(); ++s) {
@@ -770,44 +762,11 @@ void StreamEngine::push_data_segment(std::span<const Event> events) {
         }
       }
       i += take;
-      if (window_routed_ >= interval) decide_moves();
-    }
-  } else {
-    for (auto& buf : staging_) buf.clear();
-    {
-      // Routing hot loop.  The key_of null check is hoisted out of the
-      // per-event loop, and a power-of-two shard count replaces the modulo
-      // with a mask -- an IDENTICAL mapping (hash % K == hash & (K-1) for
-      // K a power of two), so goldens are unaffected.
-      const std::size_t k = config_.shards;
-      const std::uint64_t mask = k - 1;
-      if (config_.key_of) {
-        const auto& key_of = config_.key_of;
-        if ((k & (k - 1)) == 0) {
-          for (const Event& e : events) {
-            staging_[partition_hash(key_of(e)) & mask].push_back(e);
-          }
-        } else {
-          for (const Event& e : events) {
-            staging_[partition_hash(key_of(e)) % k].push_back(e);
-          }
+      if (!placement_.empty()) {
+        window_routed_ += take;
+        if (window_routed_ >= config_.rebalance->interval_events) {
+          decide_moves();
         }
-      } else {
-        if ((k & (k - 1)) == 0) {
-          for (const Event& e : events) {
-            staging_[partition_hash(e.type) & mask].push_back(e);
-          }
-        } else {
-          for (const Event& e : events) {
-            staging_[partition_hash(e.type) % k].push_back(e);
-          }
-        }
-      }
-    }
-    flush_staged();
-    if (log_ != nullptr) {
-      for (std::size_t s = 0; s < staging_.size(); ++s) {
-        pushed_per_shard_[s] += staging_[s].size();
       }
     }
   }
@@ -857,28 +816,43 @@ void StreamEngine::push_batch(std::span<const Event> events) {
   maybe_heartbeat();
 }
 
-void StreamEngine::run_deterministic_shard(Shard& shard) {
+void StreamEngine::fail_shard(Shard& shard) noexcept {
+  shard.error = std::current_exception();
+  shard.failed.store(true, std::memory_order_release);
+  any_shard_failed_.store(true, std::memory_order_release);
+  // Keep draining so no router or producer blocks forever on a full lane
+  // (they also poll the failure flags and bail on their next pass).
+  shard.in.discard_until_closed();
+}
+
+void StreamEngine::run_shard(Shard& shard) {
   try {
-    const std::size_t nq = queries_.size();
-    // The whole window/matcher/shedder body lives in DetPipeline (see
-    // runtime/shard_pipeline.hpp) -- this runner owns only what is tied to
-    // the SHARD rather than the pipeline: the ring drain, the event-time
-    // reorder stage, the checkpoint handshake and the latency marks.
-    shard.pipeline = std::make_unique<DetPipeline>(
-        std::span<const EngineQuery>(queries_.data(), queries_.size()),
-        std::move(shard.shedders),
-        config_.event_time.has_value() ? &*config_.event_time : nullptr);
-    DetPipeline& pipe = *shard.pipeline;
+    const std::size_t me = shard.stats.shard;
+    const std::size_t nparts = shard.parts.size();
+    const bool et_on = config_.event_time.has_value();
+    // Build the initially resident pipelines: partitions p with p % K == me
+    // (just p == me unless rebalancing).  Recomputed here rather than read
+    // from placement_, which is router-owned and already mutating.
+    for (std::size_t p = me; p < nparts; p += config_.shards) {
+      shard.parts[p] = std::make_unique<DetPipeline>(
+          std::span<const EngineQuery>(queries_.data(), queries_.size()),
+          std::move(part_shedders_[p]), et_on ? &*config_.event_time : nullptr);
+    }
+    // Fixed placement: the shard's one partition never leaves, and the
+    // router's hash % K already IS the partition, so whole blocks go to it
+    // with no per-event lookup.  Event time, checkpoints and recovery run
+    // only with fixed placement (validate_engine / checkpoint() enforce it).
+    DetPipeline* const home =
+        config_.rebalance.has_value() ? nullptr : shard.parts[me].get();
 
     // ---- event-time stage state -----------------------------------------
-    const bool et_on = config_.event_time.has_value();
     const EventTimeConfig et_cfg =
         et_on ? *config_.event_time : EventTimeConfig{};
     ReorderBuffer reorder(et_cfg.disorder_bound);
     std::vector<Event> released;  // reused release buffer
 
     // ---- durability: pipeline snapshot/restore + checkpoint service -----
-    // `consumed` counts the ring items (data events and punctuations)
+    // `consumed` counts the ring items (data events and control records)
     // this shard has drained over its whole lifetime (it resumes from the
     // snapshot on recovery); the router cuts checkpoints at exact values
     // of it.
@@ -890,7 +864,7 @@ void StreamEngine::run_deterministic_shard(Shard& shard) {
       w.u64(shard.stats.memberships);
       w.u64(shard.stats.memberships_kept);
       w.u64(shard.stats.windows_closed);
-      pipe.serialize_core(w);
+      home->serialize_core(w);
       w.boolean(et_on);
       if (et_on) {
         reorder.serialize(w);
@@ -900,18 +874,19 @@ void StreamEngine::run_deterministic_shard(Shard& shard) {
         w.u64(shard.stats.late_side_output);
         w.u64(shard.stats.revisions);
         w.u64(shard.stats.reorder_peak_buffered);  // scalar, not a prefix
-        pipe.serialize_event_time(w);
+        home->serialize_event_time(w);
       }
     };
 
-    auto restore_pipeline = [&](durability::SnapshotReader& r) {
+    if (me < recovery_blobs_.size() && !recovery_blobs_[me].empty()) {
+      durability::SnapshotReader r(recovery_blobs_[me]);
       consumed = r.u64();
       shard.progress.store(consumed, std::memory_order_relaxed);
       shard.stats.events = r.u64();
       shard.stats.memberships = r.u64();
       shard.stats.memberships_kept = r.u64();
       shard.stats.windows_closed = r.u64();
-      pipe.restore_core(r);
+      home->restore_core(r);
       const bool had_et = r.boolean();
       ESPICE_CHECK(had_et == et_on, ErrorCode::kCorruptSnapshot,
                    "snapshot event-time mode does not match the engine's "
@@ -924,106 +899,130 @@ void StreamEngine::run_deterministic_shard(Shard& shard) {
         shard.stats.late_side_output = r.u64();
         shard.stats.revisions = r.u64();
         shard.stats.reorder_peak_buffered = static_cast<std::size_t>(r.u64());
-        pipe.restore_event_time(r);
+        home->restore_event_time(r);
       }
-    };
-
-    if (shard.stats.shard < recovery_blobs_.size() &&
-        !recovery_blobs_[shard.stats.shard].empty()) {
-      durability::SnapshotReader r(recovery_blobs_[shard.stats.shard]);
-      restore_pipeline(r);
       r.expect_done();
     }
 
+    // The checkpoint epoch this shard served last (see Shard).  armed_cut()
+    // reads an armed epoch this shard has not served yet, and its cut.
+    std::uint64_t served = 0;
+    std::uint64_t armed = 0;
+    auto armed_cut = [&](std::uint64_t& cut) {
+      armed = shard.checkpoint_epoch.load(std::memory_order_acquire);
+      if ((armed & 1) == 0 || armed == served) return false;
+      cut = shard.checkpoint_cut.load(std::memory_order_relaxed);
+      return true;
+    };
     // Serves an armed checkpoint the shard sits exactly at: serialize,
     // publish, then hold the cut -- the blob buffer is shared with the
     // router, and no event past the cut may be consumed before the
-    // snapshot is complete -- until the router collects it and clears the
-    // target.
+    // snapshot is complete.  Termination: the router releases the epoch
+    // right after copying the blob, and any later arm is a different
+    // epoch, so the hold ends even if this thread never ran while the
+    // epoch was released; teardown() releases it too.
     auto service_checkpoint = [&]() {
-      const std::uint64_t target =
-          shard.checkpoint_target.load(std::memory_order_acquire);
-      if (target == kNoCheckpoint || consumed != target) return;
+      std::uint64_t cut = 0;
+      if (!armed_cut(cut) || consumed != cut) return;
       durability::SnapshotWriter w;
       serialize_pipeline(w);
       shard.checkpoint_blob = w.take();
-      shard.checkpoint_ready.store(true, std::memory_order_release);
-      while (shard.checkpoint_target.load(std::memory_order_acquire) ==
-             target) {
+      served = armed;
+      shard.checkpoint_served.store(served, std::memory_order_release);
+      ESPICE_STALL_POINT("shard.checkpoint.hold");
+      while (shard.checkpoint_epoch.load(std::memory_order_acquire) == served) {
         std::this_thread::yield();
       }
     };
 
-    // Block drain: one zero-copy ring view per visit (events are processed
-    // in place; one release store commits the dequeue), then a block-wise
-    // pipeline pass.
-    OccupancyMeter meter{shard.stats};
-    BackoffWaiter idle(shard.stats.shard, kShardIdleSleepUs);
-    for (;;) {
-      service_checkpoint();
-      std::span<const Event> blk = shard.ring.front_block(kShardBlock);
-      if (blk.empty()) {
-        if (!shard.ring.closed()) {
-          // Idle: escalate yield -> bounded sleep instead of spinning the
-          // core (reset on any progress).  Matters most when shards
-          // outnumber cores -- a spinning idle shard steals exactly the
-          // cycles the busy ones need.
-          idle.wait();
+    // Partition dispatch of an in-order run of ring items.  Rebalancing
+    // splits it at migration markers and run-length groups consecutive
+    // same-partition events, so a skewed stream (long same-key runs) still
+    // takes the block-wise pipeline path.
+    auto dispatch = [&](std::span<const Event> blk) {
+      if (home != nullptr) {
+        home->process_data_block(blk, shard.stats);
+        return;
+      }
+      std::size_t i = 0;
+      while (i < blk.size()) {
+        const Event& head = blk[i];
+        if (is_partition_control(head)) {
+          adopt_or_hand_off(shard, head);
+          ++i;
           continue;
         }
-        // Same never-miss ordering as pop_or_closed(): closed was observed
-        // (acquire) after an empty view, so one more look decides.
-        blk = shard.ring.front_block(kShardBlock);
-        if (blk.empty()) break;
+        const std::size_t p = partition_of(head);
+        std::size_t j = i + 1;
+        while (j < blk.size() && !is_partition_control(blk[j]) &&
+               partition_of(blk[j]) == p) {
+          ++j;
+        }
+        shard.parts[p]->process_data_block(blk.subspan(i, j - i), shard.stats);
+        i = j;
+      }
+    };
+
+    // Block drain: one ingress view per visit (zero-copy with one lane;
+    // one release commits the dequeue), then a block-wise pipeline pass.
+    OccupancyMeter meter{shard.stats};
+    BackoffWaiter idle(me, kShardIdleSleepUs);
+    for (;;) {
+      service_checkpoint();
+      std::span<const Event> blk;
+      const SpscLaneSet<Event>::Merge st = shard.in.front_block(kShardBlock, blk);
+      if (st == SpscLaneSet<Event>::Merge::kDone) break;
+      if (st == SpscLaneSet<Event>::Merge::kStall) {
+        // Idle (an empty ring, or an open lane whose producer has not
+        // pushed past the merge head yet): escalate yield -> bounded sleep
+        // instead of spinning the core (reset on any progress).  Matters
+        // most when shards outnumber cores -- a spinning idle shard steals
+        // exactly the cycles the busy ones need.
+        idle.wait();
+        continue;
       }
       idle.reset();
-      // An armed checkpoint cuts at an exact event count: trim the block so
+      // An armed checkpoint cuts at an exact item count: trim the block so
       // the shard lands on the cut (the loop head serves it), never past.
-      const std::uint64_t target =
-          shard.checkpoint_target.load(std::memory_order_acquire);
-      if (target != kNoCheckpoint && target - consumed < blk.size()) {
-        blk = blk.first(static_cast<std::size_t>(target - consumed));
+      std::uint64_t cut = 0;
+      if (armed_cut(cut) && cut - consumed < blk.size()) {
+        blk = blk.first(static_cast<std::size_t>(cut - consumed));
       }
       const std::size_t n = blk.size();
       // Depth gauge, one sample per block (the unreleased block still
       // counts as queued).
-      meter.sample_depth(shard.ring.size());
+      meter.sample_depth(shard.in.consumer_size());
       if (!et_on) {
-        pipe.process_data_block(blk, shard.stats);
+        dispatch(blk);
       } else {
         // Event-time stage: punctuations and stragglers are consumed
         // here; only watermark-released IN-ORDER runs reach the data
         // path, so everything downstream is bit-identical to an
         // in-order run of the released stream.
         for (const Event& e : blk) {
+          released.clear();
           if (is_watermark(e)) {
             ++shard.stats.punctuations;
-            released.clear();
             reorder.punctuate(e.seq, released);
-            if (!released.empty()) {
-              pipe.process_data_block(released, shard.stats);
-            }
+            if (!released.empty()) dispatch(released);
             if (watermark_has_ts(e)) {
               // Event-time close: time windows whose span ended at or
               // before the watermark close NOW, without waiting for the
               // next on-time arrival.
-              pipe.advance_time_watermark(e.ts, shard.stats);
+              home->advance_time_watermark(e.ts, shard.stats);
             }
-          } else {
-            released.clear();
-            if (reorder.accept(e, released) ==
-                ReorderBuffer::Accept::kLate) {
-              pipe.handle_late(e, reorder.watermark_seq(), shard.stats);
-            } else if (!released.empty()) {
-              pipe.process_data_block(released, shard.stats);
-            }
+          } else if (reorder.accept(e, released) ==
+                     ReorderBuffer::Accept::kLate) {
+            home->handle_late(e, reorder.watermark_seq(), shard.stats);
+          } else if (!released.empty()) {
+            dispatch(released);
           }
         }
       }
       meter.block_done();
       consumed += n;
       shard.progress.store(consumed, std::memory_order_relaxed);
-      shard.ring.release(n);
+      shard.in.release(n);
       if (config_.latency_sample_every != 0) shard.drain_marks(consumed);
     }
     if (et_on) {
@@ -1032,37 +1031,54 @@ void StreamEngine::run_deterministic_shard(Shard& shard) {
       // before the windows close.
       released.clear();
       reorder.flush(released);
-      if (!released.empty()) pipe.process_data_block(released, shard.stats);
+      if (!released.empty()) dispatch(released);
       shard.stats.watermark_valid = reorder.has_watermark();
       shard.stats.watermark_seq = reorder.watermark_seq();
       shard.stats.reorder_peak_buffered = reorder.peak_buffered();
     }
-    pipe.close_all(shard.stats);
-
-    for (std::size_t qi = 0; qi < nq; ++qi) {
-      const DetPipeline::QueryOutcome o = pipe.outcome(qi);
-      auto& qc = shard.query_counters[qi];
-      qc.memberships = o.memberships;
-      qc.memberships_kept = o.memberships_kept;
-      qc.shed_decisions = o.shed_decisions;
-      qc.shed_drops = o.shed_drops;
-      shard.stats.matches += pipe.query_matches[qi].size();
-      shard.stats.shed_decisions += o.shed_decisions;
-      shard.stats.shed_drops += o.shed_drops;
-      shard.query_matches[qi] = std::move(pipe.query_matches[qi]);
-      shard.query_revisions[qi] = std::move(pipe.query_revisions[qi]);
+    // End of stream: close every partition that ended up resident here.
+    // finish() collects matches per PARTITION from wherever each one
+    // landed; a partition's match and shed totals count toward its final
+    // host's stats (informational -- the canonical per-query numbers come
+    // from the pipelines themselves).
+    for (const auto& part : shard.parts) {
+      if (part == nullptr) continue;
+      part->close_all(shard.stats);
+      for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
+        const DetPipeline::QueryOutcome o = part->outcome(qi);
+        shard.stats.matches += part->query_matches[qi].size();
+        shard.stats.shed_decisions += o.shed_decisions;
+        shard.stats.shed_drops += o.shed_drops;
+      }
     }
-    shard.side_outputs = std::move(pipe.side_outputs);
   } catch (...) {
-    shard.error = std::current_exception();
-    shard.failed.store(true, std::memory_order_release);
-    any_shard_failed_.store(true, std::memory_order_release);
-    // Keep draining so the router cannot deadlock on a full ring.
-    Event e;
-    while (shard.ring.pop_or_closed(e) != SpscRing<Event>::Pop::kDone) {
-      std::this_thread::yield();
-    }
+    fail_shard(shard);
   }
+}
+
+void StreamEngine::adopt_or_hand_off(Shard& shard, const Event& marker) {
+  const auto p = static_cast<std::size_t>(marker.seq);
+  if (partition_control_action(marker) == PartitionControl::kExport) {
+    // Hand off: park the pipeline (release publishes everything it
+    // processed) and keep going -- an exporter never waits.
+    mailbox_[p].store(shard.parts[p].release(), std::memory_order_release);
+    return;
+  }
+  // Adopt: the matching export marker is already queued at the old owner
+  // (the router pushed it first), so spin until that shard parks the
+  // pipeline.  Terminates: the exporter never waits, so it reaches the
+  // marker once it drains what precedes it; if any shard died instead,
+  // the import is abandoned rather than hung.
+  DetPipeline* adopted = mailbox_[p].exchange(nullptr, std::memory_order_acquire);
+  while (adopted == nullptr) {
+    if (any_shard_failed_.load(std::memory_order_acquire)) {
+      throw Error(ErrorCode::kShardFailed,
+                  "partition import abandoned: a shard failed mid-migration");
+    }
+    std::this_thread::yield();
+    adopted = mailbox_[p].exchange(nullptr, std::memory_order_acquire);
+  }
+  shard.parts[p].reset(adopted);
 }
 
 void StreamEngine::push_batch_concurrent(std::size_t producer,
@@ -1094,23 +1110,12 @@ void StreamEngine::push_batch_concurrent(std::size_t producer,
   const std::uint64_t mask = k - 1;
   const bool pow2 = (k & (k - 1)) == 0;
   std::uint64_t max_seq = 0;
-  if (config_.key_of) {
-    const auto& key_of = config_.key_of;
-    for (const Event& e : events) {
-      ESPICE_REQUIRE(!is_watermark(e),
-                     "watermarks are not supported in multi-producer mode");
-      max_seq = std::max(max_seq, e.seq);
-      const std::uint64_t h = partition_hash(key_of(e));
-      stage[pow2 ? (h & mask) : (h % k)].push_back(e);
-    }
-  } else {
-    for (const Event& e : events) {
-      ESPICE_REQUIRE(!is_watermark(e),
-                     "watermarks are not supported in multi-producer mode");
-      max_seq = std::max(max_seq, e.seq);
-      const std::uint64_t h = partition_hash(e.type);
-      stage[pow2 ? (h & mask) : (h % k)].push_back(e);
-    }
+  for (const Event& e : events) {
+    ESPICE_REQUIRE(!is_watermark(e),
+                   "watermarks are not supported in multi-producer mode");
+    max_seq = std::max(max_seq, e.seq);
+    const std::uint64_t h = partition_hash(key_of(e));
+    stage[pow2 ? (h & mask) : (h % k)].push_back(e);
   }
 
   // Sequencer: one lock serializes the WAL append and the global ingest
@@ -1141,7 +1146,7 @@ void StreamEngine::push_batch_concurrent(std::size_t producer,
       const auto& buf = stage[s];
       std::size_t& off = offs[s];
       if (off >= buf.size()) continue;
-      SpscRing<Event>& lane = shards_[s]->lanes->lane(producer);
+      SpscRing<Event>& lane = shards_[s]->in.lane(producer);
       const std::size_t n =
           lane.try_push_bulk(buf.data() + off, buf.size() - off);
       if (n == 0) continue;
@@ -1160,13 +1165,20 @@ void StreamEngine::push_batch_concurrent(std::size_t producer,
       waiter.reset();
     }
   }
+  // Producer-private backpressure meter (summed into the report totals at
+  // finish()); ShardStats' per-shard router entries stay 0 in this mode.
+  if (waiter.waits() > 0) {
+    ProducerMeter& m = mp_meters_[producer];
+    m.waits += waiter.waits();
+    m.stall_seconds += waiter.stall_seconds();
+  }
 
   // Advance this producer's sequence floor on EVERY shard (including the
   // ones that received nothing): each shard's merge may now emit past
   // max_seq without waiting on this lane.  Valid because each producer's
   // seqs are strictly increasing (the documented contract).
   for (std::size_t s = 0; s < k; ++s) {
-    shards_[s]->lanes->set_floor(producer, max_seq + 1);
+    shards_[s]->in.set_floor(producer, max_seq + 1);
   }
 }
 
@@ -1175,95 +1187,19 @@ void StreamEngine::producer_done(std::size_t producer) {
                  "producer_done() needs config.producers > 0");
   ESPICE_REQUIRE(producer < config_.producers, "producer index out of range");
   if (!started_) return;  // no lanes exist yet, nothing to close
-  for (auto& s : shards_) s->lanes->close_lane(producer);
-}
-
-void StreamEngine::run_merged_shard(Shard& shard) {
-  try {
-    const std::size_t nq = queries_.size();
-    shard.pipeline = std::make_unique<DetPipeline>(
-        std::span<const EngineQuery>(queries_.data(), queries_.size()),
-        std::move(shard.shedders), /*event_time=*/nullptr);
-    DetPipeline& pipe = *shard.pipeline;
-
-    std::vector<Event> buf(kShardBlock);
-    std::uint64_t consumed = 0;
-    OccupancyMeter meter{shard.stats};
-    BackoffWaiter idle(shard.stats.shard, kShardIdleSleepUs);
-    for (;;) {
-      std::size_t n = 0;
-      const SpscLaneSet<Event>::Merge st =
-          shard.lanes->merge_pop(buf.data(), kShardBlock, n);
-      if (n > 0) {
-        // merge_pop consumed the block from the lanes already; count it
-        // back into the depth sample so the gauge matches the classic
-        // runner's "unreleased block still queued" convention.
-        meter.sample_depth(shard.lanes->size() + n);
-        pipe.process_data_block(std::span<const Event>(buf.data(), n),
-                                shard.stats);
-        meter.block_done();
-        consumed += n;
-        shard.progress.store(consumed, std::memory_order_relaxed);
-        idle.reset();
-      } else if (st == SpscLaneSet<Event>::Merge::kDone) {
-        break;
-      } else {
-        // kStall: some open lane's floor is the bound -- its producer has
-        // neither pushed nor advanced past the merge head yet.
-        idle.wait();
-      }
-    }
-    pipe.close_all(shard.stats);
-
-    for (std::size_t qi = 0; qi < nq; ++qi) {
-      const DetPipeline::QueryOutcome o = pipe.outcome(qi);
-      auto& qc = shard.query_counters[qi];
-      qc.memberships = o.memberships;
-      qc.memberships_kept = o.memberships_kept;
-      qc.shed_decisions = o.shed_decisions;
-      qc.shed_drops = o.shed_drops;
-      shard.stats.matches += pipe.query_matches[qi].size();
-      shard.stats.shed_decisions += o.shed_decisions;
-      shard.stats.shed_drops += o.shed_drops;
-      shard.query_matches[qi] = std::move(pipe.query_matches[qi]);
-    }
-  } catch (...) {
-    shard.error = std::current_exception();
-    shard.failed.store(true, std::memory_order_release);
-    any_shard_failed_.store(true, std::memory_order_release);
-    // Keep every lane draining so no producer deadlocks on a full lane
-    // (producers poll any_shard_failed_ and bail on their next pass).
-    Event e;
-    for (std::size_t p = 0; p < shard.lanes->lane_count(); ++p) {
-      while (shard.lanes->lane(p).pop_or_closed(e) !=
-             SpscRing<Event>::Pop::kDone) {
-        std::this_thread::yield();
-      }
-    }
-  }
+  for (auto& s : shards_) s->in.close_lane(producer);
 }
 
 std::size_t StreamEngine::partition_of(const Event& e) const {
   ESPICE_REQUIRE(config_.rebalance.has_value(),
                  "partition_of() needs rebalance configured");
-  const std::uint64_t key =
-      config_.key_of ? config_.key_of(e) : static_cast<std::uint64_t>(e.type);
-  return shard_index(key, config_.rebalance->partitions);
+  return shard_index(key_of(e), config_.rebalance->partitions);
 }
 
 std::size_t StreamEngine::shard_of_partition(std::size_t partition) const {
   ESPICE_REQUIRE(partition < placement_.size(),
                  "shard_of_partition() needs a started rebalancing engine");
   return placement_[partition];
-}
-
-void StreamEngine::push_control(Shard& s, const Event& marker) {
-  if (s.ring.try_push(marker)) return;
-  BackoffWaiter waiter(s.stats.shard);
-  do {
-    if (s.failed.load(std::memory_order_acquire)) fail_for_shard(s);
-    waiter.wait();
-  } while (!s.ring.try_push(marker));
 }
 
 void StreamEngine::move_partition(std::size_t partition, std::size_t to_shard) {
@@ -1281,11 +1217,13 @@ void StreamEngine::move_partition(std::size_t partition, std::size_t to_shard) {
   // is replayed gap-free, in order, across the handoff.  Deadlock-free
   // across chained moves: an exporter never waits (it just parks the
   // pipeline in the mailbox), so marker chains resolve in router order.
-  push_control(*shards_[from],
-               make_partition_control(PartitionControl::kExport, partition));
+  enqueue(*shards_[from],
+          make_partition_control(PartitionControl::kExport, partition),
+          /*data=*/false);
   placement_[partition] = to_shard;
-  push_control(*shards_[to_shard],
-               make_partition_control(PartitionControl::kImport, partition));
+  enqueue(*shards_[to_shard],
+          make_partition_control(PartitionControl::kImport, partition),
+          /*data=*/false);
   ++rebalance_moves_;
   ++shards_[from]->stats.rebalance_moves_out;
   ++shards_[to_shard]->stats.rebalance_moves_in;
@@ -1335,128 +1273,22 @@ void StreamEngine::decide_moves() {
   std::fill(part_counts_.begin(), part_counts_.end(), 0);
 }
 
-void StreamEngine::run_partitioned_shard(Shard& shard) {
-  try {
-    const std::size_t nq = queries_.size();
-    const std::size_t me = shard.stats.shard;
-    const std::size_t nparts = config_.rebalance->partitions;
-    // Build the initially resident pipelines.  The initial placement is the
-    // fixed function p % K -- recomputed here rather than read from
-    // placement_, which is router-owned and already mutating.
-    for (std::size_t p = me; p < nparts; p += config_.shards) {
-      shard.parts[p] = std::make_unique<DetPipeline>(
-          std::span<const EngineQuery>(queries_.data(), queries_.size()),
-          std::move(part_shedders_[p]), /*event_time=*/nullptr);
-    }
-
-    std::uint64_t consumed = 0;
-    OccupancyMeter meter{shard.stats};
-    BackoffWaiter idle(me, kShardIdleSleepUs);
-    for (;;) {
-      std::span<const Event> blk = shard.ring.front_block(kShardBlock);
-      if (blk.empty()) {
-        if (!shard.ring.closed()) {
-          idle.wait();
-          continue;
-        }
-        blk = shard.ring.front_block(kShardBlock);
-        if (blk.empty()) break;
-      }
-      idle.reset();
-      const std::size_t n = blk.size();
-      meter.sample_depth(shard.ring.size());
-      // Split the block at migration markers; between them, run-length
-      // group consecutive same-partition events so a skewed stream (long
-      // same-key runs) still takes the block-wise pipeline path.
-      std::size_t i = 0;
-      while (i < n) {
-        const Event& head = blk[i];
-        if (is_partition_control(head)) {
-          const auto p = static_cast<std::size_t>(head.seq);
-          if (partition_control_action(head) == PartitionControl::kExport) {
-            // Hand off: park the pipeline (release publishes everything it
-            // processed) and keep going -- an exporter never waits.
-            mailbox_[p].store(shard.parts[p].release(),
-                              std::memory_order_release);
-          } else {
-            // Adopt: the matching export marker is already queued at the
-            // old owner (the router pushed it first), so spin until that
-            // shard parks the pipeline.  Bail out if any shard died --
-            // a dead exporter would otherwise hang this import forever.
-            DetPipeline* adopted =
-                mailbox_[p].exchange(nullptr, std::memory_order_acquire);
-            while (adopted == nullptr) {
-              if (any_shard_failed_.load(std::memory_order_acquire)) {
-                throw Error(ErrorCode::kShardFailed,
-                            "partition import abandoned: a shard failed "
-                            "mid-migration");
-              }
-              std::this_thread::yield();
-              adopted = mailbox_[p].exchange(nullptr, std::memory_order_acquire);
-            }
-            shard.parts[p].reset(adopted);
-          }
-          ++i;
-          continue;
-        }
-        const std::size_t p = partition_of(head);
-        std::size_t j = i + 1;
-        while (j < n && !is_partition_control(blk[j]) &&
-               partition_of(blk[j]) == p) {
-          ++j;
-        }
-        shard.parts[p]->process_data_block(blk.subspan(i, j - i), shard.stats);
-        i = j;
-      }
-      meter.block_done();
-      consumed += n;
-      shard.progress.store(consumed, std::memory_order_relaxed);
-      shard.ring.release(n);
-    }
-    // End of stream: close every partition that ended up resident here.
-    // finish() collects matches per PARTITION from wherever each one
-    // landed; the per-shard stats rollup below attributes a partition's
-    // totals to its final host (informational -- the canonical per-query
-    // numbers come from the pipelines themselves).
-    for (std::size_t p = 0; p < nparts; ++p) {
-      if (shard.parts[p] == nullptr) continue;
-      shard.parts[p]->close_all(shard.stats);
-      for (std::size_t qi = 0; qi < nq; ++qi) {
-        const DetPipeline::QueryOutcome o = shard.parts[p]->outcome(qi);
-        shard.stats.matches += shard.parts[p]->query_matches[qi].size();
-        shard.stats.shed_decisions += o.shed_decisions;
-        shard.stats.shed_drops += o.shed_drops;
-      }
-    }
-  } catch (...) {
-    shard.error = std::current_exception();
-    shard.failed.store(true, std::memory_order_release);
-    any_shard_failed_.store(true, std::memory_order_release);
-    Event e;
-    while (shard.ring.pop_or_closed(e) != SpscRing<Event>::Pop::kDone) {
-      std::this_thread::yield();
-    }
-  }
-}
-
 void StreamEngine::run_adaptive_shard(Shard& shard) {
   try {
     EspiceOperator op(*config_.adaptive, [&shard](const ComplexEvent& ce) {
-      shard.query_matches[0].push_back(ce);
+      shard.adaptive_matches.push_back(ce);
     });
     const double tick_period = config_.adaptive->detector.tick_period;
     double next_tick = tick_period;
     std::uint64_t consumed = 0;
 
     for (;;) {
-      std::span<const Event> blk = shard.ring.front_block(kShardBlock);
-      if (blk.empty()) {
-        if (!shard.ring.closed()) {
-          std::this_thread::yield();
-          continue;
-        }
-        blk = shard.ring.front_block(kShardBlock);
-        if (blk.empty()) break;
+      std::span<const Event> blk;
+      const SpscLaneSet<Event>::Merge st = shard.in.front_block(kShardBlock, blk);
+      if (st == SpscLaneSet<Event>::Merge::kDone) break;
+      if (st == SpscLaneSet<Event>::Merge::kStall) {
+        std::this_thread::yield();
+        continue;
       }
       const std::size_t n = blk.size();
       for (std::size_t i = 0; i < n; ++i) {
@@ -1472,8 +1304,8 @@ void StreamEngine::run_adaptive_shard(Shard& shard) {
           // signal the overload detector steers shedding by.  The current
           // block is still unreleased, so size() already counts its
           // unprocessed tail (minus what this loop consumed).
-          const std::size_t depth =
-              shard.ring.size() >= i + 1 ? shard.ring.size() - (i + 1) : 0;
+          const std::size_t queued = shard.in.size();
+          const std::size_t depth = queued >= i + 1 ? queued - (i + 1) : 0;
           op.on_tick(now, depth);
           ++shard.stats.detector_ticks;
           shard.stats.peak_queue_depth =
@@ -1484,7 +1316,7 @@ void StreamEngine::run_adaptive_shard(Shard& shard) {
       }
       consumed += n;
       shard.progress.store(consumed, std::memory_order_relaxed);
-      shard.ring.release(n);
+      shard.in.release(n);
       if (config_.latency_sample_every != 0) shard.drain_marks(consumed);
     }
     op.finish();
@@ -1494,23 +1326,12 @@ void StreamEngine::run_adaptive_shard(Shard& shard) {
     shard.stats.memberships = s.memberships;
     shard.stats.memberships_kept = s.memberships_kept;
     shard.stats.windows_closed = s.windows_closed;
-    shard.stats.matches = shard.query_matches[0].size();
+    shard.stats.matches = shard.adaptive_matches.size();
     shard.stats.shed_decisions = s.decisions;
     shard.stats.shed_drops = s.drops;
     shard.stats.retrains = s.retrains;
-    auto& qc = shard.query_counters[0];
-    qc.memberships = s.memberships;
-    qc.memberships_kept = s.memberships_kept;
-    qc.shed_decisions = s.decisions;
-    qc.shed_drops = s.drops;
   } catch (...) {
-    shard.error = std::current_exception();
-    shard.failed.store(true, std::memory_order_release);
-    any_shard_failed_.store(true, std::memory_order_release);
-    Event e;
-    while (shard.ring.pop_or_closed(e) != SpscRing<Event>::Pop::kDone) {
-      std::this_thread::yield();
-    }
+    fail_shard(shard);
   }
 }
 
@@ -1676,19 +1497,28 @@ void StreamEngine::checkpoint() {
   w.boolean(router_max_valid_);
   w.u64(router_max_seq_);
 
-  // Arm every shard with its exact cut, then collect in shard order.  The
-  // shards quiesce at the cut only as long as it takes the router to copy
-  // their blob out -- each resumes as soon as its target clears.
+  // Arm every shard with its exact cut under a fresh (odd) epoch, then
+  // collect in shard order.  The shards quiesce at the cut only as long as
+  // it takes the router to copy their blob out -- each resumes as soon as
+  // its epoch is released.
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& s = *shards_[i];
-    s.checkpoint_ready.store(false, std::memory_order_relaxed);
-    s.checkpoint_target.store(pushed_per_shard_[i], std::memory_order_release);
+    s.checkpoint_cut.store(pushed_per_shard_[i], std::memory_order_relaxed);
+    s.checkpoint_epoch.store(
+        s.checkpoint_epoch.load(std::memory_order_relaxed) + 1,
+        std::memory_order_release);
   }
+  ESPICE_STALL_POINT("engine.checkpoint.armed");
   std::exception_ptr failure;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& s = *shards_[i];
+    // Terminates: the shard reaches the cut (every item below it is
+    // already in its ring) and serves this epoch, or it dies and sets
+    // `failed`.
+    const std::uint64_t epoch =
+        s.checkpoint_epoch.load(std::memory_order_relaxed);
     BackoffWaiter waiter;
-    while (!s.checkpoint_ready.load(std::memory_order_acquire)) {
+    while (s.checkpoint_served.load(std::memory_order_acquire) != epoch) {
       if (s.failed.load(std::memory_order_acquire)) {
         failure = s.error;
         break;
@@ -1699,14 +1529,12 @@ void StreamEngine::checkpoint() {
     w.u64(pushed_per_shard_[i]);
     w.u64(s.checkpoint_blob.size());
     w.bytes(s.checkpoint_blob.data(), s.checkpoint_blob.size());
-    s.checkpoint_target.store(kNoCheckpoint, std::memory_order_release);
+    release_checkpoint(s);
   }
   if (failure != nullptr) {
     // A shard died mid-checkpoint: release every cut (dead shards ignore
     // them, live ones resume) and surface the shard's error now.
-    for (auto& s : shards_) {
-      s->checkpoint_target.store(kNoCheckpoint, std::memory_order_release);
-    }
+    for (auto& s : shards_) release_checkpoint(*s);
     state_ = EngineState::kFailed;
     std::rethrow_exception(failure);
   }
@@ -1822,7 +1650,7 @@ RecoveryReport StreamEngine::recover_and_start() {
         if (!tail.empty()) {
           for (auto& shard : shards_) {
             for (std::size_t p = 1; p < config_.producers; ++p) {
-              shard->lanes->set_floor(p, tail.back().seq + 1);
+              shard->in.set_floor(p, tail.back().seq + 1);
             }
           }
         }
@@ -1854,34 +1682,13 @@ RecoveryReport StreamEngine::recover_and_start() {
 
 std::vector<ComplexEvent> StreamEngine::merge_matches(
     std::vector<std::vector<ComplexEvent>> per_shard) {
-  struct Tagged {
-    std::uint64_t completion_seq;
-    std::size_t shard;
-    std::size_t index;
-  };
-  std::vector<Tagged> order;
-  std::size_t total = 0;
-  for (const auto& v : per_shard) total += v.size();
-  order.reserve(total);
-  for (std::size_t s = 0; s < per_shard.size(); ++s) {
-    for (std::size_t i = 0; i < per_shard[s].size(); ++i) {
-      std::uint64_t completion = 0;
-      for (const auto& c : per_shard[s][i].constituents) {
-        completion = std::max(completion, c.event.seq);
-      }
-      order.push_back(Tagged{completion, s, i});
+  return merge_units(std::move(per_shard), [](const ComplexEvent& ce) {
+    std::uint64_t completion = 0;
+    for (const auto& c : ce.constituents) {
+      completion = std::max(completion, c.event.seq);
     }
-  }
-  std::sort(order.begin(), order.end(), [](const Tagged& a, const Tagged& b) {
-    return std::tie(a.completion_seq, a.shard, a.index) <
-           std::tie(b.completion_seq, b.shard, b.index);
+    return completion;
   });
-  std::vector<ComplexEvent> merged;
-  merged.reserve(total);
-  for (const Tagged& t : order) {
-    merged.push_back(std::move(per_shard[t.shard][t.index]));
-  }
-  return merged;
 }
 
 EngineReport StreamEngine::finish() {
@@ -1899,28 +1706,13 @@ EngineReport StreamEngine::finish() {
   // Join FIRST: everything below may throw, and throwing while shard
   // threads still run would leave them orphaned (the old order synced the
   // log before closing the rings, so a sync failure hung the shutdown).
-  for (auto& s : shards_) {
-    s->ring.close();
-    if (s->lanes != nullptr) {
-      // Close every lane a producer left open (close_lane is idempotent, so
-      // producers that already called producer_done() cost nothing).  The
-      // caller's contract: every producer has RETURNED from its last
-      // push_batch_concurrent() before finish() is called.
-      for (std::size_t p = 0; p < s->lanes->lane_count(); ++p) {
-        s->lanes->close_lane(p);
-      }
-    }
-  }
+  // Closing every lane includes the ones a producer left open (close_lane
+  // is idempotent).  The caller's contract: every producer has RETURNED
+  // from its last push_batch_concurrent() before finish() is called.
+  for (auto& s : shards_) s->in.close();
   for (auto& s : shards_) s->thread.join();
   const double wall = seconds_since(start_);
-  // Reclaim any pipeline stranded in a migration mailbox (only possible
-  // when a shard died between an export and its import -- the success path
-  // always drains both markers before the rings close).
-  if (mailbox_ != nullptr) {
-    for (std::size_t p = 0; p < placement_.size(); ++p) {
-      delete mailbox_[p].exchange(nullptr, std::memory_order_acquire);
-    }
-  }
+  reclaim_mailbox();
   for (auto& s : shards_) {
     if (s->error) {
       state_ = EngineState::kFailed;
@@ -1979,84 +1771,63 @@ EngineReport StreamEngine::finish() {
       wall > 0.0 ? static_cast<double>(report.events) / wall : 0.0;
   const std::size_t nq = std::max<std::size_t>(queries_.size(), 1);
 
-  // Rebalancing: the merge unit is the PARTITION, not the shard -- a
-  // partition's pipeline (with all its outputs) may have migrated, but it
-  // ends the run resident on exactly one shard.  Collect each partition's
-  // final pipeline; merging per partition makes the output independent of
-  // the move schedule (and bit-identical to a serial run with one "shard"
-  // per partition).
-  std::vector<DetPipeline*> final_parts;
-  if (!placement_.empty()) {
-    final_parts.assign(placement_.size(), nullptr);
+  // Merge units.  Deterministic modes merge per PARTITION pipeline: a
+  // partition (with all its outputs) may have migrated, but it ends the run
+  // resident on exactly one shard, and with fixed placement partition i is
+  // shard i.  Merging per partition makes the output independent of the
+  // move schedule (bit-identical to a serial run per partition); adaptive
+  // mode merges per shard.  Every merge orders by (key, unit, in-unit
+  // index), which no thread interleaving can perturb.
+  std::vector<DetPipeline*> units;
+  if (!config_.adaptive.has_value()) {
+    units.assign(part_shedders_.size(), nullptr);
     for (auto& s : shards_) {
       for (std::size_t p = 0; p < s->parts.size(); ++p) {
-        if (s->parts[p] != nullptr) final_parts[p] = s->parts[p].get();
+        if (s->parts[p] != nullptr) units[p] = s->parts[p].get();
       }
     }
-    for (std::size_t p = 0; p < final_parts.size(); ++p) {
-      ESPICE_CHECK(final_parts[p] != nullptr, ErrorCode::kEngineFailed,
+    for (std::size_t p = 0; p < units.size(); ++p) {
+      ESPICE_CHECK(units[p] != nullptr, ErrorCode::kEngineFailed,
                    "partition " + std::to_string(p) +
                        " has no final host after the run");
     }
   }
-
-  // Canonical per-query merge: each query's matches across merge units
-  // (shards, or partitions when rebalancing), ordered by (completing event
-  // seq, unit, in-unit index).
   report.queries.resize(nq);
   for (std::size_t qi = 0; qi < nq; ++qi) {
     QueryReport& qr = report.queries[qi];
     qr.name = qi < queries_.size() ? queries_[qi].name
                                    : "q" + std::to_string(qi);
-    std::vector<std::vector<ComplexEvent>> per_shard;
-    if (!final_parts.empty()) {
-      per_shard.reserve(final_parts.size());
-      for (DetPipeline* pp : final_parts) {
-        const DetPipeline::QueryOutcome o = pp->outcome(qi);
-        qr.memberships += o.memberships;
-        qr.memberships_kept += o.memberships_kept;
-        qr.shed_decisions += o.shed_decisions;
-        qr.shed_drops += o.shed_drops;
-        per_shard.push_back(std::move(pp->query_matches[qi]));
-      }
-    } else {
-      per_shard.reserve(shards_.size());
+    std::vector<std::vector<ComplexEvent>> matches;
+    std::vector<std::vector<RevisionRecord>> revisions;
+    for (DetPipeline* u : units) {
+      const DetPipeline::QueryOutcome o = u->outcome(qi);
+      qr.memberships += o.memberships;
+      qr.memberships_kept += o.memberships_kept;
+      qr.shed_decisions += o.shed_decisions;
+      qr.shed_drops += o.shed_drops;
+      matches.push_back(std::move(u->query_matches[qi]));
+      revisions.push_back(std::move(u->query_revisions[qi]));
+    }
+    if (config_.adaptive.has_value()) {
       for (auto& s : shards_) {
-        qr.memberships += s->query_counters[qi].memberships;
-        qr.memberships_kept += s->query_counters[qi].memberships_kept;
-        qr.shed_decisions += s->query_counters[qi].shed_decisions;
-        qr.shed_drops += s->query_counters[qi].shed_drops;
-        per_shard.push_back(std::move(s->query_matches[qi]));
+        qr.memberships += s->stats.memberships;
+        qr.memberships_kept += s->stats.memberships_kept;
+        qr.shed_decisions += s->stats.shed_decisions;
+        qr.shed_drops += s->stats.shed_drops;
+        matches.push_back(std::move(s->adaptive_matches));
       }
     }
-    qr.matches = merge_matches(std::move(per_shard));
-    // Canonical revision order: (late event seq, shard, in-shard index) --
-    // shard- and thread-schedule-independent, like the match merge.
-    {
-      struct TaggedRev {
-        std::uint64_t late_seq;
-        std::size_t shard;
-        std::size_t index;
-      };
-      std::vector<TaggedRev> order;
-      for (std::size_t si = 0; si < shards_.size(); ++si) {
-        const auto& revs = shards_[si]->query_revisions[qi];
-        for (std::size_t i = 0; i < revs.size(); ++i) {
-          order.push_back(TaggedRev{revs[i].late_seq, si, i});
-        }
-      }
-      std::sort(order.begin(), order.end(),
-                [](const TaggedRev& a, const TaggedRev& b) {
-                  return std::tie(a.late_seq, a.shard, a.index) <
-                         std::tie(b.late_seq, b.shard, b.index);
-                });
-      qr.revisions.reserve(order.size());
-      for (const TaggedRev& t : order) {
-        qr.revisions.push_back(
-            std::move(shards_[t.shard]->query_revisions[qi][t.index]));
-      }
-    }
+    qr.matches = merge_matches(std::move(matches));
+    qr.revisions = merge_units(
+        std::move(revisions),
+        [](const RevisionRecord& r) { return r.late_seq; });
   }
+  std::vector<std::vector<SideOutputRecord>> side_outputs;
+  for (DetPipeline* u : units) side_outputs.push_back(std::move(u->side_outputs));
+  report.side_outputs = merge_units(
+      std::move(side_outputs),
+      [](const SideOutputRecord& r) { return r.event.seq; });
+
   report.rebalance_moves = rebalance_moves_;
   for (auto& s : shards_) {
     report.router_backpressure_waits += s->stats.router_backpressure_waits;
@@ -2069,6 +1840,12 @@ EngineReport StreamEngine::finish() {
     report.revisions += s->stats.revisions;
     report.latency.merge(s->stats.latency);
     report.shards.push_back(s->stats);
+  }
+  // Multi-producer backpressure is metered per producer, not per shard (a
+  // producer waits on all of its lanes at once): totals only.
+  for (std::size_t p = 0; p < config_.producers; ++p) {
+    report.router_backpressure_waits += mp_meters_[p].waits;
+    report.router_stall_seconds += mp_meters_[p].stall_seconds;
   }
   // Engine low watermark: the slowest shard's progress.  Valid only once
   // every shard has one (a shard that never saw disorder_bound+1 events has
@@ -2086,34 +1863,9 @@ EngineReport StreamEngine::finish() {
     }
     if (!report.low_watermark_valid) report.low_watermark_seq = 0;
   }
-  // Side outputs merged canonically by (late event seq, shard, index).
-  {
-    struct TaggedSo {
-      std::uint64_t seq;
-      std::size_t shard;
-      std::size_t index;
-    };
-    std::vector<TaggedSo> order;
-    for (std::size_t si = 0; si < shards_.size(); ++si) {
-      const auto& so = shards_[si]->side_outputs;
-      for (std::size_t i = 0; i < so.size(); ++i) {
-        order.push_back(TaggedSo{so[i].event.seq, si, i});
-      }
-    }
-    std::sort(order.begin(), order.end(),
-              [](const TaggedSo& a, const TaggedSo& b) {
-                return std::tie(a.seq, a.shard, a.index) <
-                       std::tie(b.seq, b.shard, b.index);
-              });
-    report.side_outputs.reserve(order.size());
-    for (const TaggedSo& t : order) {
-      report.side_outputs.push_back(
-          std::move(shards_[t.shard]->side_outputs[t.index]));
-    }
-  }
 
-  // Engine-level canonical order: (completion seq, query, shard, index).
-  // Each per-query merged list is already (completion, shard, index)-sorted,
+  // Engine-level canonical order: (completion seq, query, unit, index).
+  // Each per-query merged list is already (completion, unit, index)-sorted,
   // so merging the lists in query order yields exactly that.
   if (nq == 1) {
     report.matches = report.queries.front().matches;
@@ -2128,8 +1880,7 @@ EngineReport StreamEngine::finish() {
 
 std::size_t StreamEngine::queue_depth(std::size_t shard) const {
   ESPICE_REQUIRE(shard < shards_.size(), "shard index out of range");
-  if (shards_[shard]->lanes != nullptr) return shards_[shard]->lanes->size();
-  return shards_[shard]->ring.size();
+  return shards_[shard]->in.size();
 }
 
 std::uint64_t EngineReport::total_windows_closed() const {

@@ -2,14 +2,26 @@
 //
 // The paper's operator is single-threaded; this subsystem scales it out the
 // way partitioned middlebox pipelines do: a router key-partitions the input
-// stream across K shards, each shard owns one complete operator pipeline and
-// is fed through a bounded SPSC ring buffer, and a merge stage collects the
-// shards' complex events and statistics into one ordered output.
+// stream across K shards, each shard runs one complete operator pipeline
+// per resident partition and is fed through bounded SPSC rings, and a merge
+// stage collects the partitions' complex events and statistics into one
+// ordered output.
 //
-//   push(e) --router--> [SpscRing 0] --> shard 0 (windows+matcher+shedder)
-//                       [SpscRing 1] --> shard 1        ...
-//                       [SpscRing K-1] --> shard K-1
+//   push(e) --router--> [ingress 0] --> shard 0: [reorder] -> partition
+//                       [ingress 1] --> shard 1     dispatch -> DetPipeline(s)
+//                       [ingress K-1] --> shard K-1     ...
 //   finish() ----------> join shards --> canonical merge --> EngineReport
+//
+// One runner (run_shard) serves every deterministic mode.  A shard's
+// ingress is an SpscLaneSet with P >= 1 lanes: one lane (the router's ring,
+// read zero-copy) in the single-router modes, one lane per producer in
+// multi-producer mode (merged on seq).  Its pipelines are DetPipelines, one
+// per resident PARTITION: classic and multi-producer mode use L = K
+// partitions with partition i fixed on shard i (so whole blocks go to it,
+// no per-event lookup); rebalance mode uses L >= K partitions that migrate
+// through in-band markers.  The reorder stage, checkpoint service, latency
+// marks, occupancy meter, idle backoff and failure drain exist once, in
+// that runner.  Adaptive mode keeps its own runner around EspiceOperator.
 //
 // Partitioning semantics: each shard runs an *independent* operator over its
 // substream -- windows are formed per shard, exactly as if the substream
@@ -33,7 +45,7 @@
 // on the wall clock and are not bit-stable.
 //
 // Threading contract: push(), push_batch() and finish() must be called from
-// one thread (the router); each shard's pipeline runs on its own thread;
+// one thread (the router); each shard's pipelines run on its own thread;
 // the report is only handed out after every shard thread joined, so no
 // synchronization beyond the rings is needed.
 //
@@ -260,8 +272,7 @@ struct StreamEngineConfig {
   /// producers, so no consistent cut exists until the stream ends).
   std::size_t producers = 0;
   /// Dynamic hot-partition rebalancing (see RebalanceConfig).  Deterministic
-  /// single-producer mode only; excludes adaptive / event-time / durability /
-  /// latency sampling.
+  /// single-producer mode only; excludes adaptive / event-time / durability.
   std::optional<RebalanceConfig> rebalance;
   /// Per-shard ring capacity (rounded up to a power of two).  A full ring
   /// back-pressures the router (bounded yield->sleep backoff, see
@@ -331,6 +342,9 @@ struct ShardStats {
   /// Peak ring occupancy observed by the shard (sampled; backpressure gauge).
   std::size_t peak_queue_depth = 0;
   /// How often the router found this shard's ring full and had to wait.
+  /// Multi-producer mode meters waits per producer instead (a producer
+  /// waits on all its lanes at once): these stay 0 there and only the
+  /// EngineReport totals carry the producers' waits.
   std::uint64_t router_backpressure_waits = 0;
   /// Wall seconds the router spent stalled on this shard's full ring.
   double router_stall_seconds = 0.0;
@@ -398,9 +412,10 @@ struct EngineReport {
   std::uint64_t events = 0;
   double wall_seconds = 0.0;
   double events_per_sec = 0.0;
-  /// Router backpressure totals across shards: how often a push found a
-  /// ring full, and the wall seconds the router spent waiting (yield->sleep
-  /// backoff; see runtime/backoff.hpp).
+  /// Backpressure totals: how often a push found a ring full, and the wall
+  /// seconds spent waiting (yield->sleep backoff; see runtime/backoff.hpp)
+  /// -- the router's waits summed over shards, or in multi-producer mode
+  /// the producers' waits summed over producers.
   std::uint64_t router_backpressure_waits = 0;
   double router_stall_seconds = 0.0;
   /// Rebalance mode: total partition migrations executed over the run.
@@ -615,13 +630,22 @@ class StreamEngine {
  private:
   struct Shard;
 
-  void run_deterministic_shard(Shard& shard);
+  /// The deterministic shard loop of every mode: ingress block drain ->
+  /// optional event-time reorder -> partition dispatch into the resident
+  /// DetPipelines, plus the checkpoint service, latency marks, occupancy
+  /// meter and idle backoff.
+  void run_shard(Shard& shard);
   void run_adaptive_shard(Shard& shard);
-  /// Multi-producer shard loop: drains the shard's P-lane merge.
-  void run_merged_shard(Shard& shard);
-  /// Rebalance-mode shard loop: one pipeline per resident partition,
-  /// migration markers handled in-band.
-  void run_partitioned_shard(Shard& shard);
+  /// Runs one migration marker on its shard: an export parks the
+  /// partition's pipeline in the mailbox, an import adopts it from there.
+  void adopt_or_hand_off(Shard& shard, const Event& marker);
+  /// A shard loop's catch path: publishes the error and the failure flags,
+  /// then discards input until every lane is closed.
+  void fail_shard(Shard& shard) noexcept;
+  /// Releases shard `s`'s armed checkpoint cut, if any (router thread).
+  void release_checkpoint(Shard& s) noexcept;
+  /// Frees any pipeline left in a migration mailbox (after the join).
+  void reclaim_mailbox() noexcept;
   /// Bulk-pushes `n` events into one shard's ring, backing off (bounded
   /// yield->sleep) whenever the ring is full.
   void bulk_push_shard(Shard& s, const Event* data, std::size_t n);
@@ -629,8 +653,9 @@ class StreamEngine {
   /// into each pending ring and rotates, waiting only when EVERY pending
   /// ring is full -- one full shard no longer serializes the others.
   void flush_staged();
-  /// Pushes one control marker into shard `s`'s ring (backpressure waits).
-  void push_control(Shard& s, const Event& marker);
+  /// Pushes one ring item into shard `s` (backpressure waits), noting it
+  /// for latency sampling; `data` is false for punctuations and markers.
+  void enqueue(Shard& s, const Event& e, bool data);
   /// Rebalance decision: greedily moves the largest partitions off the
   /// most loaded shard while the imbalance exceeds hot_factor.  Pure
   /// function of the routing counts -> deterministic.
@@ -639,6 +664,11 @@ class StreamEngine {
   void open_durability();
   /// Runs checkpoint() when snapshot_every_events is due.
   void maybe_auto_checkpoint();
+  /// The event's partition key (config.key_of, or its type).
+  std::uint64_t key_of(const Event& e) const;
+  /// Splits `chunk` into the per-shard staging buffers under the current
+  /// routing (hash % K, or partition placement when rebalancing).
+  void stage(std::span<const Event> chunk);
   /// Partitions and flushes one punctuation-free run of data events (the
   /// shared body of push_batch); advances pushed_ and the event-time
   /// router trackers.
@@ -697,6 +727,14 @@ class StreamEngine {
   /// Per producer, per shard: round-robin flush resume offsets into
   /// mp_staging_ (producer-private; reused across batches).
   std::vector<std::vector<std::size_t>> mp_off_;
+  /// Per producer: backpressure waits and stall seconds, written only by
+  /// that producer and summed into the report at finish() (after every
+  /// producer returned, by contract).  Padded against false sharing.
+  struct alignas(64) ProducerMeter {
+    std::uint64_t waits = 0;
+    double stall_seconds = 0.0;
+  };
+  std::unique_ptr<ProducerMeter[]> mp_meters_;
 
   // --- rebalance state (empty when rebalance is off; router thread) --------
   std::vector<std::size_t> placement_;     ///< partition -> hosting shard
@@ -707,8 +745,10 @@ class StreamEngine {
   /// here (release), the importer spins and adopts it (acquire).  One slot
   /// per partition; slot p is only live between p's export/import markers.
   std::unique_ptr<std::atomic<DetPipeline*>[]> mailbox_;
-  /// Per-partition shedders, built on the router thread at start() and
-  /// adopted by whichever shard constructs the partition's pipeline.
+
+  /// Per-partition shedders (one slot per query), built on the router
+  /// thread at start() and adopted by the shard that constructs the
+  /// partition's pipeline.  Its size is the partition count L.
   std::vector<std::vector<std::unique_ptr<Shedder>>> part_shedders_;
 
   std::uint64_t pushed_ = 0;

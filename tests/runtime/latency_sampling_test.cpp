@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -55,6 +56,45 @@ EngineReport run_with_sampling(std::size_t shards, std::size_t every,
   return engine.finish();
 }
 
+/// Rebalancing run with forced migrations between the batches (the
+/// automatic rebalancer is held off, so both sampling settings see the
+/// exact same move schedule).
+EngineReport run_rebalancing(std::size_t every,
+                             const std::vector<Event>& events) {
+  constexpr std::size_t kPartitions = 8;
+  StreamEngineConfig config = base_config(2);
+  config.rebalance = RebalanceConfig{};
+  config.rebalance->partitions = kPartitions;
+  config.rebalance->interval_events = events.size() + 1;
+  config.latency_sample_every = every;
+  StreamEngine engine(std::move(config));
+  const std::span<const Event> all(events);
+  const std::size_t third = events.size() / 3;
+  engine.push_batch(all.first(third));
+  for (std::size_t p = 0; p < kPartitions; p += 2) {
+    engine.move_partition(p, 1 - engine.shard_of_partition(p));
+  }
+  engine.push_batch(all.subspan(third, third));
+  for (std::size_t p = 1; p < kPartitions; p += 3) {
+    engine.move_partition(p, 1 - engine.shard_of_partition(p));
+  }
+  engine.push_batch(all.subspan(2 * third));
+  return engine.finish();
+}
+
+void expect_same_output(const EngineReport& off, const EngineReport& on) {
+  ASSERT_EQ(off.matches.size(), on.matches.size());
+  for (std::size_t i = 0; i < off.matches.size(); ++i) {
+    ASSERT_EQ(off.matches[i].constituents.size(),
+              on.matches[i].constituents.size());
+    for (std::size_t c = 0; c < off.matches[i].constituents.size(); ++c) {
+      EXPECT_EQ(off.matches[i].constituents[c].event.seq,
+                on.matches[i].constituents[c].event.seq);
+    }
+  }
+  EXPECT_EQ(off.events, on.events);
+}
+
 TEST(LatencySampling, DisabledByDefaultRecordsNothing) {
   const auto events = make_stream(4000);
   const EngineReport report = run_with_sampling(2, 0, events);
@@ -83,18 +123,16 @@ TEST(LatencySampling, SamplesAndMergesAcrossShards) {
 
 TEST(LatencySampling, SamplingDoesNotPerturbOutput) {
   const auto events = make_stream(3000);
-  const EngineReport off = run_with_sampling(2, 0, events);
-  const EngineReport on = run_with_sampling(2, 8, events);
-  ASSERT_EQ(off.matches.size(), on.matches.size());
-  for (std::size_t i = 0; i < off.matches.size(); ++i) {
-    ASSERT_EQ(off.matches[i].constituents.size(),
-              on.matches[i].constituents.size());
-    for (std::size_t c = 0; c < off.matches[i].constituents.size(); ++c) {
-      EXPECT_EQ(off.matches[i].constituents[c].event.seq,
-                on.matches[i].constituents[c].event.seq);
-    }
-  }
-  EXPECT_EQ(off.events, on.events);
+  expect_same_output(run_with_sampling(2, 0, events),
+                     run_with_sampling(2, 8, events));
+  // Rebalancing: migration markers are ring items too, so the marks stay
+  // aligned with the shards' consumed counters across moves.
+  const EngineReport off = run_rebalancing(0, events);
+  const EngineReport on = run_rebalancing(8, events);
+  expect_same_output(off, on);
+  EXPECT_GT(on.rebalance_moves, 0u);
+  EXPECT_EQ(on.rebalance_moves, off.rebalance_moves);
+  EXPECT_GT(on.latency.count(), 0u);
 }
 
 // Scalar push() path (no batching) samples too.
