@@ -306,8 +306,7 @@ class WindowManager {
   /// memberships offered (all of them kept).
   ///
   /// Shedding callers cannot use this (decisions are per membership); the
-  /// no-shedder engine pipeline, and the sizing/training phases of the
-  /// adaptive operators, are all-keep and batch through here.
+  /// pipeline's all-keep window groups batch through here.
   std::uint64_t offer_keep_all_block(std::span<const Event> block,
                                      QueryMask mask = ~QueryMask{0});
 

@@ -52,7 +52,9 @@
 
 namespace espice {
 
-class EspiceShedder final : public Shedder {
+/// Not final: AdaptiveControl's shedder slot (core/adaptive_control.hpp)
+/// extends score_block() with the control plane's pre-drop statistics.
+class EspiceShedder : public Shedder {
  public:
   explicit EspiceShedder(std::shared_ptr<const UtilityModel> model,
                          bool exact_amount = false, std::uint64_t seed = 19);
@@ -75,12 +77,12 @@ class EspiceShedder final : public Shedder {
   int revise_boost() const { return revise_boost_; }
 
   bool should_drop(const Event& e, std::uint32_t position,
-                   double predicted_ws) override;
+                   double predicted_ws) final;
   void score_block(const Event& e, const std::uint32_t* positions,
                    std::size_t n, double predicted_ws,
                    std::uint64_t* keep_bits) override;
-  void on_command(const DropCommand& cmd) override;
-  const char* name() const override { return "eSPICE"; }
+  void on_command(const DropCommand& cmd) final;
+  const char* name() const final { return "eSPICE"; }
 
   /// True when this build + CPU can run the vectorized score_block kernel
   /// (AVX2, checked once at runtime).  The kernel is an implementation

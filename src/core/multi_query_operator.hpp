@@ -17,11 +17,13 @@
 // every window (filter_view_for_query) -- bit-identical to the window B
 // would have formed running alone.
 //
-// The control plane is shared: ONE OverloadDetector watches the host's
-// input queue (the queue is shared, so the surplus to cancel is global) and
-// its per-tick drop amount x is split across queries by the ShedCoordinator
-// so drops land on the globally lowest-utility mass (see
-// core/shed_coordinator.hpp).
+// The data plane is a DetPipeline (runtime/shard_pipeline.hpp) whose one
+// window group hosts every query; the control plane is an AdaptiveControl
+// (core/adaptive_control.hpp) in multi-query mode: ONE OverloadDetector
+// watches the host's input queue (the queue is shared, so the surplus to
+// cancel is global) and its per-tick drop amount x is split across queries
+// by the ShedCoordinator so drops land on the globally lowest-utility mass
+// (see core/shed_coordinator.hpp).
 //
 // Lifecycle mirrors EspiceOperator (sizing -> training -> shedding); all
 // queries share the phase because they share the windows.  Drift
@@ -32,19 +34,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "cep/incremental_matcher.hpp"
 #include "cep/pattern.hpp"
-#include "cep/window.hpp"
-#include "core/espice_shedder.hpp"
-#include "core/model_builder.hpp"
-#include "core/overload_detector.hpp"
-#include "core/shed_coordinator.hpp"
+#include "core/adaptive_control.hpp"
+#include "runtime/shard_pipeline.hpp"
 
 namespace espice {
 
@@ -57,24 +53,8 @@ struct MultiQuerySpec {
   std::size_t max_matches_per_window = 1;
 };
 
-struct MultiQueryOperatorConfig {
-  WindowSpec window;                   ///< shared by every query
+struct MultiQueryOperatorConfig : AdaptiveConfig {
   std::vector<MultiQuerySpec> queries;
-
-  // --- model (shared sizing; per-query tables) -----------------------------
-  std::size_t num_types = 0;           ///< M: event-type universe size
-  std::size_t bin_size = 1;            ///< bs
-  std::size_t n_positions = 0;         ///< N; 0 = derive (sizing / span)
-  std::size_t sizing_windows = 100;
-  std::size_t training_windows = 500;
-
-  // --- control plane -------------------------------------------------------
-  OverloadDetectorConfig detector;     ///< window_size_events is filled in
-  bool exact_amount = false;
-  double exploration = 0.05;
-  /// Refresh every query's model from its accumulated statistics every this
-  /// many closed windows while shedding (0 = never).
-  std::size_t rebuild_every_windows = 2000;
   /// Per-query value weights for the coordinator (empty = all equal).
   std::vector<double> query_weights;
 
@@ -82,12 +62,10 @@ struct MultiQueryOperatorConfig {
     ESPICE_REQUIRE(!queries.empty(), "need at least one query");
     ESPICE_REQUIRE(queries.size() <= kMaxQueriesPerWindowManager,
                    "too many queries for one shared window manager");
-    ESPICE_REQUIRE(num_types > 0, "num_types must be set");
-    ESPICE_REQUIRE(training_windows > 0, "training_windows must be positive");
+    AdaptiveConfig::validate();
     ESPICE_REQUIRE(
         query_weights.empty() || query_weights.size() == queries.size(),
         "one weight per query (or none)");
-    window.validate();
     for (const auto& q : queries) q.pattern.validate();
   }
 };
@@ -113,7 +91,7 @@ struct MultiQueryStats {
 
 class MultiQueryOperator {
  public:
-  enum class Phase { kSizing, kTraining, kShedding };
+  using Phase = AdaptiveControl::Phase;
 
   /// Called per detected complex event with the detecting query's index.
   using MatchCallback =
@@ -121,8 +99,8 @@ class MultiQueryOperator {
 
   MultiQueryOperator(MultiQueryOperatorConfig config, MatchCallback on_match);
 
-  // The shared window manager's kept feed points at the per-query matchers;
-  // moving the operator would dangle it.
+  // The pipeline's shedder slots and observer point at this object's
+  // control plane; moving the operator would dangle them.
   MultiQueryOperator(const MultiQueryOperator&) = delete;
   MultiQueryOperator& operator=(const MultiQueryOperator&) = delete;
 
@@ -132,87 +110,56 @@ class MultiQueryOperator {
 
   /// Batched variant: consumes a whole block of stream events, bit-identical
   /// in every output (matches, stats, model evolution) to pushing them one
-  /// by one.  Sizing/training blocks batch through the window manager's
-  /// all-keep bulk path, chunked at close_free_horizon() so phase
-  /// transitions (which trigger on window closings) land on the same event
-  /// as in per-event execution; shedding blocks score each event's
-  /// membership set per query with one EspiceShedder::score_block call over
-  /// flat arrays instead of a virtual should_drop() per (membership, query).
+  /// by one.  Sizing/training blocks go through the pipeline in chunks cut
+  /// at close_free_horizon() so phase transitions (which trigger on window
+  /// closings) land on the same event as in per-event execution; shedding
+  /// is terminal and runs per event, so a mid-block model refresh lands
+  /// exactly where per-event execution puts it.
   void push_block(std::span<const Event> block);
 
   /// Flushes all open windows (end of stream).
   void finish();
 
   /// Host signals (see EspiceOperator): processing cost, queue size, arrival.
-  void observe_cost(double seconds);
-  void on_tick(double now, std::size_t queue_size);
-  void observe_arrival(double ts) { detector_.observe_arrival(ts); }
+  void observe_cost(double seconds) { control_.observe_cost(seconds); }
+  void on_tick(double /*now*/, std::size_t queue_size) {
+    control_.on_tick(queue_size);
+  }
+  void observe_arrival(double ts) { control_.observe_arrival(ts); }
 
   // --- introspection -------------------------------------------------------
-  Phase phase() const { return phase_; }
+  Phase phase() const { return control_.phase(); }
   std::size_t query_count() const { return config_.queries.size(); }
-  bool shedding_active() const;
+  bool shedding_active() const { return control_.shedding_active(); }
   /// Query q's model (nullptr until training completes).
-  const UtilityModel* model(std::size_t q) const;
+  const UtilityModel* model(std::size_t q) const { return control_.model(q); }
   /// Per-query split of the most recent active detector command's drop
   /// budget, in expected events per WINDOW (the detector's per-partition x
   /// times its partition count); empty before shedding first activates.
-  const std::vector<double>& last_split() const { return last_split_; }
-  const ShedCoordinator& coordinator() const { return coordinator_; }
+  const std::vector<double>& last_split() const {
+    return control_.last_split();
+  }
+  const ShedCoordinator& coordinator() const { return control_.coordinator(); }
   MultiQueryStats stats() const;
 
-  /// Snapshot / restore (durability layer): phase machinery, the shared
-  /// window manager, per-query matcher/builder/shedder state and the
-  /// detector estimates.  Non-const because the window manager compacts
-  /// consumed views first.  The restoring operator must be constructed
-  /// with the same config; the coordinator re-binds to the restored
-  /// models, so no derived state travels.
+  /// Snapshot / restore (durability layer): the pipeline (shared window
+  /// manager, per-query matcher and shedder state), the control plane
+  /// (phase machinery, builders, detector estimates) and the counters.
+  /// Non-const because the window manager compacts consumed views first.
+  /// The restoring operator must be constructed with the same config; the
+  /// coordinator re-binds to the restored models, so no derived state
+  /// travels.
   void serialize(durability::SnapshotWriter& w);
   void restore(durability::SnapshotReader& r);
 
  private:
-  void begin_training(std::size_t n_positions);
-  void build_and_arm();
-  void refresh_models();
-  void close_windows();
-  void push_shedding(const Event& e);
-
   MultiQueryOperatorConfig config_;
   MatchCallback on_match_;
-  WindowManager windows_;
-  OverloadDetector detector_;
-  ShedCoordinator coordinator_;
-
-  /// Everything owned per registered query.
-  struct QueryState {
-    explicit QueryState(IncrementalMatcher m) : matcher(std::move(m)) {}
-    /// Stream-level matcher, fed this query's keep decisions (bit q of the
-    /// shared manager's masks) through feed_.
-    IncrementalMatcher matcher;
-    std::optional<ModelBuilder> builder;
-    std::unique_ptr<EspiceShedder> shedder;
-    std::vector<KeptEntry> filter_scratch;  ///< backs the per-query view
-    std::uint64_t matches = 0;
-  };
-  std::vector<QueryState> queries_;
-  MatcherFeed feed_;
-
-  /// Block-scoring scratch: one event's membership positions and the
-  /// per-query keep bitmaps (queries x ceil(memberships / 64) words).
-  std::vector<std::uint32_t> pos_scratch_;
-  std::vector<std::uint64_t> bits_scratch_;
-
-  Phase phase_ = Phase::kSizing;
-  std::size_t sizing_count_ = 0;
-  double sizing_size_sum_ = 0.0;
-  double predicted_ws_ = 0.0;
-  std::size_t windows_since_rebuild_ = 0;
-  std::vector<double> last_split_;
-
-  std::uint64_t events_ = 0;
-  std::uint64_t memberships_ = 0;
-  std::uint64_t memberships_kept_ = 0;
-  std::uint64_t windows_closed_ = 0;
+  std::vector<EngineQuery> queries_;  ///< the pipeline's query list
+  AdaptiveControl control_;
+  DetPipeline pipeline_;
+  ShardStats counters_;  ///< events / memberships / windows, from the pipeline
+  std::vector<std::uint64_t> matches_;  ///< per query
 };
 
 }  // namespace espice

@@ -1,5 +1,7 @@
 #include "runtime/shard_pipeline.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -40,8 +42,9 @@ ComplexEvent read_ce(durability::SnapshotReader& r) {
 
 DetPipeline::DetPipeline(std::span<const EngineQuery> queries,
                          std::vector<std::unique_ptr<Shedder>> shedders,
-                         const EventTimeConfig* event_time)
-    : queries_(queries) {
+                         const EventTimeConfig* event_time,
+                         WindowObserver observer)
+    : queries_(queries), observer_(std::move(observer)) {
   const std::size_t nq = queries.size();
   ESPICE_REQUIRE(shedders.size() == nq,
                  "pipeline needs one shedder slot per query");
@@ -147,9 +150,9 @@ void DetPipeline::flush(Group& g, ShardStats& stats) {
     for (const std::size_t qi : g.members) {
       QueryRuntime& rt = runtimes_[qi];
       const WindowView view =
-          g.diverging ? filter_view_for_query(w, rt.bit, rt.filter_scratch)
-                      : w;
+          g.partial ? filter_view_for_query(w, rt.bit, rt.filter_scratch) : w;
       auto matches = rt.matcher.finalize(view);
+      if (observer_) observer_(qi, view, matches);
       for (auto& m : matches) {
         query_matches[qi].push_back(std::move(m));
       }
@@ -246,44 +249,28 @@ void DetPipeline::process_data_block(std::span<const Event> data,
     }
   };
   for (Group& g : groups_) {
-    if (g.members.size() == 1) {
-      QueryRuntime& rt = runtimes_[g.members.front()];
-      if (rt.shedder == nullptr) {
-        // All-keep single query: the fully batched window path.
-        const std::uint64_t kept = g.wm.offer_keep_all_block(data);
-        rt.memberships += kept;
-        rt.kept += kept;
-        stats.memberships += kept;
-        stats.memberships_kept += kept;
-      } else {
-        for (const Event& e : data) {
-          auto& memberships = g.wm.offer(e);
-          const std::size_t mcount = memberships.size();
-          stats.memberships += mcount;
-          rt.memberships += mcount;
-          if (mcount == 0) continue;
-          positions_of(memberships);
-          bits_scratch_.resize(keep_bitmap_words(mcount));
-          rt.shedder->score_block(e, pos_scratch_.data(), mcount,
-                                  rt.predicted_ws, bits_scratch_.data());
-          for (std::size_t i = 0; i < mcount; ++i) {
-            if (keep_bit(bits_scratch_.data(), i)) {
-              g.wm.keep(memberships[i], e);
-              ++rt.kept;
-              ++stats.memberships_kept;
-            }
+    QueryRuntime& front = runtimes_[g.members.front()];
+    if (!g.diverging && front.shedder == nullptr) {
+      keep_all(g, data, stats);  // no member sheds
+    } else if (!g.diverging) {
+      // One shedding query: block-scored, mask-free.
+      for (const Event& e : data) {
+        auto& memberships = g.wm.offer(e);
+        const std::size_t mcount = memberships.size();
+        stats.memberships += mcount;
+        front.memberships += mcount;
+        if (mcount == 0) continue;
+        positions_of(memberships);
+        bits_scratch_.resize(keep_bitmap_words(mcount));
+        front.shedder->score_block(e, pos_scratch_.data(), mcount,
+                                   front.predicted_ws, bits_scratch_.data());
+        for (std::size_t i = 0; i < mcount; ++i) {
+          if (keep_bit(bits_scratch_.data(), i)) {
+            g.wm.keep(memberships[i], e);
+            ++front.kept;
+            ++stats.memberships_kept;
           }
         }
-      }
-    } else if (!g.diverging) {
-      // Shared all-keep group: one mask-free batched pass covers every
-      // member query.
-      const std::uint64_t kept = g.wm.offer_keep_all_block(data);
-      stats.memberships += kept;
-      stats.memberships_kept += kept;
-      for (const std::size_t qi : g.members) {
-        runtimes_[qi].memberships += kept;
-        runtimes_[qi].kept += kept;
       }
     } else {
       for (const Event& e : data) {
@@ -321,12 +308,36 @@ void DetPipeline::process_data_block(std::span<const Event> data,
           }
           // Every query shed it -> physical drop (never buffered).
           if (mask != 0) {
+            g.partial = g.partial || mask != all_queries_mask(g.members.size());
             g.wm.keep(memberships[i], e, mask);
             ++stats.memberships_kept;
           }
         }
       }
     }
+    flush(g, stats);
+  }
+}
+
+void DetPipeline::keep_all(Group& g, std::span<const Event> data,
+                           ShardStats& stats) {
+  // One batched pass covers every member query; a mask-tracking group
+  // records each member's keep bit.
+  const std::uint64_t kept = g.wm.offer_keep_all_block(
+      data, g.diverging ? all_queries_mask(g.members.size()) : ~QueryMask{0});
+  stats.memberships += kept;
+  stats.memberships_kept += kept;
+  for (const std::size_t qi : g.members) {
+    runtimes_[qi].memberships += kept;
+    runtimes_[qi].kept += kept;
+  }
+}
+
+void DetPipeline::process_keep_all_block(std::span<const Event> data,
+                                         ShardStats& stats) {
+  stats.events += data.size();
+  for (Group& g : groups_) {
+    keep_all(g, data, stats);
     flush(g, stats);
   }
 }
@@ -343,6 +354,12 @@ void DetPipeline::close_all(ShardStats& stats) {
     g.wm.close_all();
     flush(g, stats);
   }
+}
+
+std::uint64_t DetPipeline::close_free_horizon() const {
+  std::uint64_t h = std::numeric_limits<std::uint64_t>::max();
+  for (const Group& g : groups_) h = std::min(h, g.wm.close_free_horizon());
+  return h;
 }
 
 DetPipeline::QueryOutcome DetPipeline::outcome(std::size_t qi) const {
@@ -373,7 +390,10 @@ void DetPipeline::serialize_core(durability::SnapshotWriter& w) {
 }
 
 void DetPipeline::restore_core(durability::SnapshotReader& r) {
-  for (Group& g : groups_) g.wm.restore(r);
+  for (Group& g : groups_) {
+    g.wm.restore(r);
+    g.partial = g.diverging;
+  }
   for (std::size_t qi = 0; qi < runtimes_.size(); ++qi) {
     QueryRuntime& rt = runtimes_[qi];
     rt.matcher.restore(r);

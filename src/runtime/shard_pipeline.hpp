@@ -1,4 +1,7 @@
-// One complete deterministic CEP pipeline over one substream.
+// One complete deterministic CEP pipeline over one substream: the only data
+// plane.  EspiceOperator and MultiQueryOperator host one each, steered by an
+// AdaptiveControl (core/adaptive_control.hpp) through the shedder slots and
+// the closed-window observer; so do the engine's adaptive shards.
 //
 // This is the body a shard thread runs -- window grouping, per-query
 // incremental matchers, shedders, keep masks, event-time retained windows --
@@ -26,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -47,14 +51,24 @@ class DetPipeline {
     std::uint64_t shed_drops = 0;
   };
 
+  /// Closed-window observer: called by flush() once per (closed window,
+  /// member query) with the query's view of the window (filtered when keep
+  /// sets diverge) and the matches it produced, before they are appended
+  /// to query_matches.  The adaptive control plane's statistics hook.
+  using WindowObserver =
+      std::function<void(std::size_t query, const WindowView& view,
+                         const std::vector<ComplexEvent>& matches)>;
+
   /// `queries` must outlive the pipeline (the engine's registered list).
   /// `shedders` are adopted, one slot per query (nullptr = keep all).
   /// `event_time` configures the late-event machinery; nullptr = off (the
   /// reorder stage itself stays with the shard loop -- only retained
-  /// windows, revision and side-output state live here).
+  /// windows, revision and side-output state live here).  `observer` may
+  /// be empty.
   DetPipeline(std::span<const EngineQuery> queries,
               std::vector<std::unique_ptr<Shedder>> shedders,
-              const EventTimeConfig* event_time);
+              const EventTimeConfig* event_time,
+              WindowObserver observer = {});
 
   DetPipeline(const DetPipeline&) = delete;
   DetPipeline& operator=(const DetPipeline&) = delete;
@@ -62,6 +76,11 @@ class DetPipeline {
   /// One block-wise pass over an IN-ORDER run of data events: window
   /// routing, shedding, incremental matching, closed-window flush.
   void process_data_block(std::span<const Event> data, ShardStats& stats);
+
+  /// process_data_block() for a block every shedder would keep whole (an
+  /// adaptive host before arming): the batched all-keep window path, no
+  /// shedder consulted.
+  void process_keep_all_block(std::span<const Event> data, ShardStats& stats);
 
   /// Event-time close: closes time windows whose span ended at or before
   /// `ts` and flushes them.
@@ -77,6 +96,11 @@ class DetPipeline {
   void close_all(ShardStats& stats);
 
   std::size_t query_count() const { return runtimes_.size(); }
+  /// Events that can be processed before -- and including -- the next one
+  /// that may close a window (WindowManager::close_free_horizon over every
+  /// group): hosts chunk blocks with it so a phase flip driven by the
+  /// observer lands on the same event as in per-event execution.
+  std::uint64_t close_free_horizon() const;
   QueryOutcome outcome(std::size_t qi) const;
 
   // --- durability (checkpoint/restore) -----------------------------------
@@ -116,13 +140,18 @@ class DetPipeline {
     std::vector<std::size_t> members;
     bool diverging;
     MatcherFeed feed;
+    /// A keep mask missing some member was stored (conservatively set on
+    /// restore).  Until then every member's view is the whole window.
+    bool partial = false;
   };
 
   void flush(Group& g, ShardStats& stats);
+  void keep_all(Group& g, std::span<const Event> data, ShardStats& stats);
   WindowView retained_view_for(const RetainedWindow& rw,
                                const QueryRuntime& rt);
 
   std::span<const EngineQuery> queries_;
+  WindowObserver observer_;
   std::vector<QueryRuntime> runtimes_;
   std::vector<Group> groups_;
   bool et_on_ = false;

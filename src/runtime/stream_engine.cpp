@@ -216,8 +216,10 @@ struct StreamEngine::Shard {
   /// mode moves the unique_ptr between shards through the engine's mailbox.
   /// Built on the shard thread, read by finish() after the join.
   std::vector<std::unique_ptr<DetPipeline>> parts;
-  /// Adaptive mode: the shard's complex events in detection order.
-  std::vector<ComplexEvent> adaptive_matches;
+  /// Adaptive mode: the control plane steering the shard's one pipeline
+  /// (its shedder slot and closed-window observer); built at start(),
+  /// driven by the shard thread only.
+  std::unique_ptr<AdaptiveControl> control;
   ShardStats stats;
   std::exception_ptr error;
 
@@ -250,6 +252,13 @@ struct StreamEngine::Shard {
   /// the only shard-side state the router may read before joining.
   std::atomic<std::uint64_t> progress{0};
 };
+
+EngineQuery adaptive_query(const EspiceOperatorConfig& c) {
+  EngineQuery q;
+  q.query = ShardQuery{c.pattern, c.window, c.selection, c.consumption,
+                       c.max_matches_per_window};
+  return q;
+}
 
 std::uint64_t StreamEngine::partition_hash(std::uint64_t key) {
   // SplitMix64 finalizer: fixed, platform-independent avalanche so the
@@ -299,29 +308,31 @@ void StreamEngine::start() {
   if (started_) return;
   started_ = true;
 
-  if (!config_.adaptive.has_value()) {
-    if (queries_.empty()) {
-      // Legacy single-query path: adopt the config's query as query 0.
-      config_.validate();
-      EngineQuery q;
-      q.query = config_.query;
-      q.shedder_factory = config_.shedder_factory;
-      q.predicted_ws = config_.predicted_ws;
-      queries_.push_back(std::move(q));
+  if (config_.adaptive.has_value()) {
+    // Adaptive mode runs the operator's one query on the same pipeline; the
+    // shard's AdaptiveControl supplies its shedder slot.
+    queries_.push_back(adaptive_query(*config_.adaptive));
+  } else if (queries_.empty()) {
+    // Legacy single-query path: adopt the config's query as query 0.
+    config_.validate();
+    EngineQuery q;
+    q.query = config_.query;
+    q.shedder_factory = config_.shedder_factory;
+    q.predicted_ws = config_.predicted_ws;
+    queries_.push_back(std::move(q));
+  }
+  for (std::size_t i = 0; i < queries_.size(); ++i) {
+    EngineQuery& q = queries_[i];
+    q.query.pattern.validate();
+    q.query.window.validate();
+    if (q.shedder_factory != nullptr) {
+      ESPICE_REQUIRE(q.predicted_ws > 0.0 ||
+                         q.query.window.span_kind == WindowSpan::kCount,
+                     "non-count windows need an explicit predicted_ws to "
+                     "shed (query " +
+                         std::to_string(i) + ")");
     }
-    for (std::size_t i = 0; i < queries_.size(); ++i) {
-      EngineQuery& q = queries_[i];
-      q.query.pattern.validate();
-      q.query.window.validate();
-      if (q.shedder_factory != nullptr) {
-        ESPICE_REQUIRE(q.predicted_ws > 0.0 ||
-                           q.query.window.span_kind == WindowSpan::kCount,
-                       "non-count windows need an explicit predicted_ws to "
-                       "shed (query " +
-                           std::to_string(i) + ")");
-      }
-      if (q.name.empty()) q.name = "q" + std::to_string(i);
-    }
+    if (q.name.empty()) q.name = "q" + std::to_string(i);
   }
 
   if (config_.durability.has_value()) {
@@ -349,15 +360,14 @@ void StreamEngine::start() {
     for (auto& buf : staging_) buf.reserve(kShardBlock);
     staging_off_.assign(config_.shards, 0);
   }
-  // Deterministic modes run one pipeline per PARTITION: L = K partitions
-  // with partition i fixed on shard i (classic, multi-producer), or
+  // Every mode runs one pipeline per PARTITION: L = K partitions with
+  // partition i fixed on shard i (classic, multi-producer, adaptive), or
   // L = rebalance.partitions migrating ones.  Shedders are built here, per
   // partition, on the router thread (the documented factory contract) --
   // the factory's argument is the partition, which is the shard in the
   // fixed-placement modes -- and adopted by the pipeline that owns them.
-  const std::size_t nparts = config_.adaptive.has_value() ? 0
-                             : rebalancing ? config_.rebalance->partitions
-                                           : config_.shards;
+  const std::size_t nparts =
+      rebalancing ? config_.rebalance->partitions : config_.shards;
   part_shedders_.resize(nparts);
   for (std::size_t p = 0; p < nparts; ++p) {
     for (const EngineQuery& q : queries_) {
@@ -370,6 +380,11 @@ void StreamEngine::start() {
     shards_.push_back(std::make_unique<Shard>(
         i, std::max<std::size_t>(config_.producers, 1), config_.ring_capacity,
         nparts));
+    if (config_.adaptive.has_value()) {
+      shards_.back()->control =
+          std::make_unique<AdaptiveControl>(*config_.adaptive);
+      part_shedders_[i] = shards_.back()->control->make_shedders();
+    }
   }
   if (config_.producers > 0) {
     mp_staging_.resize(config_.producers);
@@ -396,11 +411,7 @@ void StreamEngine::start() {
   try {
     for (auto& shard : shards_) {
       Shard* s = shard.get();
-      if (config_.adaptive.has_value()) {
-        s->thread = std::thread([this, s] { run_adaptive_shard(*s); });
-      } else {
-        s->thread = std::thread([this, s] { run_shard(*s); });
-      }
+      s->thread = std::thread([this, s] { run_shard(*s); });
     }
   } catch (...) {
     // Thread spawn failed mid-loop: release the shards already running
@@ -830,13 +841,22 @@ void StreamEngine::run_shard(Shard& shard) {
     const std::size_t me = shard.stats.shard;
     const std::size_t nparts = shard.parts.size();
     const bool et_on = config_.event_time.has_value();
+    AdaptiveControl* const control = shard.control.get();
+    DetPipeline::WindowObserver observer;
+    if (control != nullptr) {
+      observer = [control](std::size_t q, const WindowView& view,
+                           const std::vector<ComplexEvent>& matches) {
+        control->on_window_closed(q, view, matches);
+      };
+    }
     // Build the initially resident pipelines: partitions p with p % K == me
     // (just p == me unless rebalancing).  Recomputed here rather than read
     // from placement_, which is router-owned and already mutating.
     for (std::size_t p = me; p < nparts; p += config_.shards) {
       shard.parts[p] = std::make_unique<DetPipeline>(
           std::span<const EngineQuery>(queries_.data(), queries_.size()),
-          std::move(part_shedders_[p]), et_on ? &*config_.event_time : nullptr);
+          std::move(part_shedders_[p]), et_on ? &*config_.event_time : nullptr,
+          observer);
     }
     // Fixed placement: the shard's one partition never leaves, and the
     // router's hash % K already IS the partition, so whole blocks go to it
@@ -935,11 +955,56 @@ void StreamEngine::run_shard(Shard& shard) {
       }
     };
 
+    // Adaptive mode: EspiceOperator's per-event host step.  Each event's
+    // arrival and measured processing cost feed the overload detector, its
+    // one-event pipeline pass closes its windows (and retrains on a flagged
+    // drift) before the next event is scored, and every tick_period wall
+    // seconds the detector is ticked with the ring depth -- the shard's
+    // input queue, the backpressure signal shedding is steered by.
+    const double tick_period =
+        control != nullptr ? config_.adaptive->detector.tick_period : 0.0;
+    double next_tick = tick_period;
+    auto adaptive_step = [&](std::span<const Event> blk) {
+      for (std::size_t i = 0; i < blk.size(); ++i) {
+        const auto before = std::chrono::steady_clock::now();
+        const double now =
+            std::chrono::duration<double>(before - start_).count();
+        control->observe_arrival(now);
+        // A watermark pushed in a batch arrives as a record the operator
+        // ignores (see EspiceOperator::push).
+        if (!is_watermark(blk[i])) {
+          ESPICE_REQUIRE(blk[i].type < config_.adaptive->num_types,
+                         "event type outside the universe");
+          home->process_data_block(blk.subspan(i, 1), shard.stats);
+          control->end_event();
+        }
+        control->observe_cost(seconds_since(before));
+        if (now >= next_tick) {
+          // The current block is still unreleased, so size() already
+          // counts its unprocessed tail (minus what this loop consumed).
+          const std::size_t queued = shard.in.size();
+          const std::size_t depth = queued >= i + 1 ? queued - (i + 1) : 0;
+          control->on_tick(depth);
+          ++shard.stats.detector_ticks;
+          shard.stats.peak_queue_depth =
+              std::max(shard.stats.peak_queue_depth, depth);
+          if (control->shedding_active()) {
+            shard.stats.shedding_ever_active = true;
+          }
+          next_tick += tick_period;
+        }
+      }
+    };
+
     // Partition dispatch of an in-order run of ring items.  Rebalancing
     // splits it at migration markers and run-length groups consecutive
     // same-partition events, so a skewed stream (long same-key runs) still
     // takes the block-wise pipeline path.
     auto dispatch = [&](std::span<const Event> blk) {
+      if (control != nullptr) {
+        adaptive_step(blk);
+        return;
+      }
       if (home != nullptr) {
         home->process_data_block(blk, shard.stats);
         return;
@@ -1051,6 +1116,7 @@ void StreamEngine::run_shard(Shard& shard) {
         shard.stats.shed_drops += o.shed_drops;
       }
     }
+    if (control != nullptr) shard.stats.retrains = control->retrains();
   } catch (...) {
     fail_shard(shard);
   }
@@ -1271,68 +1337,6 @@ void StreamEngine::decide_moves() {
     load[cold] += part_counts_[best];
   }
   std::fill(part_counts_.begin(), part_counts_.end(), 0);
-}
-
-void StreamEngine::run_adaptive_shard(Shard& shard) {
-  try {
-    EspiceOperator op(*config_.adaptive, [&shard](const ComplexEvent& ce) {
-      shard.adaptive_matches.push_back(ce);
-    });
-    const double tick_period = config_.adaptive->detector.tick_period;
-    double next_tick = tick_period;
-    std::uint64_t consumed = 0;
-
-    for (;;) {
-      std::span<const Event> blk;
-      const SpscLaneSet<Event>::Merge st = shard.in.front_block(kShardBlock, blk);
-      if (st == SpscLaneSet<Event>::Merge::kDone) break;
-      if (st == SpscLaneSet<Event>::Merge::kStall) {
-        std::this_thread::yield();
-        continue;
-      }
-      const std::size_t n = blk.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        const Event& e = blk[i];
-        const auto before = std::chrono::steady_clock::now();
-        const double now =
-            std::chrono::duration<double>(before - start_).count();
-        op.observe_arrival(now);
-        op.push(e);
-        op.observe_cost(seconds_since(before));
-        if (now >= next_tick) {
-          // The ring depth *is* the shard's input queue: the backpressure
-          // signal the overload detector steers shedding by.  The current
-          // block is still unreleased, so size() already counts its
-          // unprocessed tail (minus what this loop consumed).
-          const std::size_t queued = shard.in.size();
-          const std::size_t depth = queued >= i + 1 ? queued - (i + 1) : 0;
-          op.on_tick(now, depth);
-          ++shard.stats.detector_ticks;
-          shard.stats.peak_queue_depth =
-              std::max(shard.stats.peak_queue_depth, depth);
-          if (op.shedding_active()) shard.stats.shedding_ever_active = true;
-          next_tick += tick_period;
-        }
-      }
-      consumed += n;
-      shard.progress.store(consumed, std::memory_order_relaxed);
-      shard.in.release(n);
-      if (config_.latency_sample_every != 0) shard.drain_marks(consumed);
-    }
-    op.finish();
-
-    const OperatorStats s = op.stats();
-    shard.stats.events = s.events;
-    shard.stats.memberships = s.memberships;
-    shard.stats.memberships_kept = s.memberships_kept;
-    shard.stats.windows_closed = s.windows_closed;
-    shard.stats.matches = shard.adaptive_matches.size();
-    shard.stats.shed_decisions = s.decisions;
-    shard.stats.shed_drops = s.drops;
-    shard.stats.retrains = s.retrains;
-  } catch (...) {
-    fail_shard(shard);
-  }
 }
 
 void StreamEngine::open_durability() {
@@ -1771,26 +1775,22 @@ EngineReport StreamEngine::finish() {
       wall > 0.0 ? static_cast<double>(report.events) / wall : 0.0;
   const std::size_t nq = std::max<std::size_t>(queries_.size(), 1);
 
-  // Merge units.  Deterministic modes merge per PARTITION pipeline: a
-  // partition (with all its outputs) may have migrated, but it ends the run
-  // resident on exactly one shard, and with fixed placement partition i is
-  // shard i.  Merging per partition makes the output independent of the
-  // move schedule (bit-identical to a serial run per partition); adaptive
-  // mode merges per shard.  Every merge orders by (key, unit, in-unit
-  // index), which no thread interleaving can perturb.
-  std::vector<DetPipeline*> units;
-  if (!config_.adaptive.has_value()) {
-    units.assign(part_shedders_.size(), nullptr);
-    for (auto& s : shards_) {
-      for (std::size_t p = 0; p < s->parts.size(); ++p) {
-        if (s->parts[p] != nullptr) units[p] = s->parts[p].get();
-      }
+  // Merge units: one per PARTITION pipeline.  A partition (with all its
+  // outputs) may have migrated, but it ends the run resident on exactly one
+  // shard, and with fixed placement partition i is shard i.  Merging per
+  // partition makes the output independent of the move schedule
+  // (bit-identical to a serial run per partition).  Every merge orders by
+  // (key, unit, in-unit index), which no thread interleaving can perturb.
+  std::vector<DetPipeline*> units(part_shedders_.size(), nullptr);
+  for (auto& s : shards_) {
+    for (std::size_t p = 0; p < s->parts.size(); ++p) {
+      if (s->parts[p] != nullptr) units[p] = s->parts[p].get();
     }
-    for (std::size_t p = 0; p < units.size(); ++p) {
-      ESPICE_CHECK(units[p] != nullptr, ErrorCode::kEngineFailed,
-                   "partition " + std::to_string(p) +
-                       " has no final host after the run");
-    }
+  }
+  for (std::size_t p = 0; p < units.size(); ++p) {
+    ESPICE_CHECK(units[p] != nullptr, ErrorCode::kEngineFailed,
+                 "partition " + std::to_string(p) +
+                     " has no final host after the run");
   }
   report.queries.resize(nq);
   for (std::size_t qi = 0; qi < nq; ++qi) {
@@ -1807,15 +1807,6 @@ EngineReport StreamEngine::finish() {
       qr.shed_drops += o.shed_drops;
       matches.push_back(std::move(u->query_matches[qi]));
       revisions.push_back(std::move(u->query_revisions[qi]));
-    }
-    if (config_.adaptive.has_value()) {
-      for (auto& s : shards_) {
-        qr.memberships += s->stats.memberships;
-        qr.memberships_kept += s->stats.memberships_kept;
-        qr.shed_decisions += s->stats.shed_decisions;
-        qr.shed_drops += s->stats.shed_drops;
-        matches.push_back(std::move(s->adaptive_matches));
-      }
     }
     qr.matches = merge_matches(std::move(matches));
     qr.revisions = merge_units(

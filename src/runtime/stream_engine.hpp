@@ -12,16 +12,18 @@
 //                       [ingress K-1] --> shard K-1     ...
 //   finish() ----------> join shards --> canonical merge --> EngineReport
 //
-// One runner (run_shard) serves every deterministic mode.  A shard's
-// ingress is an SpscLaneSet with P >= 1 lanes: one lane (the router's ring,
-// read zero-copy) in the single-router modes, one lane per producer in
+// One runner (run_shard) serves every mode.  A shard's ingress is an
+// SpscLaneSet with P >= 1 lanes: one lane (the router's ring, read
+// zero-copy) in the single-router modes, one lane per producer in
 // multi-producer mode (merged on seq).  Its pipelines are DetPipelines, one
 // per resident PARTITION: classic and multi-producer mode use L = K
 // partitions with partition i fixed on shard i (so whole blocks go to it,
 // no per-event lookup); rebalance mode uses L >= K partitions that migrate
 // through in-band markers.  The reorder stage, checkpoint service, latency
 // marks, occupancy meter, idle backoff and failure drain exist once, in
-// that runner.  Adaptive mode keeps its own runner around EspiceOperator.
+// that runner.  Adaptive mode runs there too: its shards are classic-mode
+// DetPipelines whose shedder slot and closed-window observer belong to a
+// per-shard AdaptiveControl, and its dispatch is the per-event host step.
 //
 // Partitioning semantics: each shard runs an *independent* operator over its
 // substream -- windows are formed per shard, exactly as if the substream
@@ -39,10 +41,11 @@
 //     seq, shard, in-shard detection index), which no thread interleaving
 //     can perturb.
 // In deterministic mode any shedding must come from a deterministic Shedder
-// (e.g. a seq-hash policy); adaptive mode instead gives every shard a full
-// EspiceOperator whose overload detector is ticked with the shard's *ring
-// depth* as the queue-size (backpressure) signal -- adaptive results depend
-// on the wall clock and are not bit-stable.
+// (e.g. a seq-hash policy); adaptive mode instead steers every shard's
+// pipeline with the eSPICE lifecycle (core/adaptive_control.hpp) -- the
+// same per-event semantics as an EspiceOperator -- whose overload detector
+// is ticked with the shard's *ring depth* as the queue-size (backpressure)
+// signal; adaptive results depend on the wall clock and are not bit-stable.
 //
 // Threading contract: push(), push_batch() and finish() must be called from
 // one thread (the router); each shard's pipelines run on its own thread;
@@ -90,7 +93,7 @@
 #include "cep/matcher.hpp"
 #include "cep/pattern.hpp"
 #include "cep/window.hpp"
-#include "core/espice_operator.hpp"
+#include "core/adaptive_control.hpp"
 #include "core/shedder.hpp"
 #include "durability/event_log.hpp"
 #include "durability/snapshot.hpp"
@@ -123,6 +126,11 @@ struct EngineQuery {
   /// count-window span).
   double predicted_ws = 0.0;
 };
+
+/// The query of a single-query adaptive host (EspiceOperator, the engine's
+/// adaptive shards): the config's query fields and no shedder factory --
+/// the host's AdaptiveControl supplies the shedder slot.
+EngineQuery adaptive_query(const EspiceOperatorConfig& c);
 
 /// What the engine does when a write-ahead-log append or sync fails at
 /// runtime (ENOSPC, EIO, a failed fsync) -- the non-fatal-fault analogue of
@@ -295,9 +303,10 @@ struct StreamEngineConfig {
   double predicted_ws = 0.0;
 
   // --- adaptive mode -------------------------------------------------------
-  /// When set, every shard runs a full EspiceOperator built from this config
-  /// (sizing -> training -> shedding lifecycle, drift retraining) and its
-  /// overload detector is ticked with the shard's ring depth every
+  /// When set, every shard runs this single-query config's eSPICE operator:
+  /// its DetPipeline steered by an AdaptiveControl (sizing -> training ->
+  /// shedding lifecycle, drift retraining), fed per event as EspiceOperator
+  /// is, with the overload detector ticked with the shard's ring depth every
   /// `detector.tick_period` wall seconds.
   std::optional<EspiceOperatorConfig> adaptive;
 
@@ -364,7 +373,8 @@ struct ShardStats {
   // Rebalance mode only: partition pipelines this shard adopted / handed off.
   std::uint64_t rebalance_moves_in = 0;
   std::uint64_t rebalance_moves_out = 0;
-  // Adaptive mode only:
+  // Adaptive mode only (drift retrains, detector ticks, whether any tick
+  // left shedding active):
   std::size_t retrains = 0;
   std::size_t detector_ticks = 0;
   bool shedding_ever_active = false;
@@ -630,12 +640,12 @@ class StreamEngine {
  private:
   struct Shard;
 
-  /// The deterministic shard loop of every mode: ingress block drain ->
-  /// optional event-time reorder -> partition dispatch into the resident
-  /// DetPipelines, plus the checkpoint service, latency marks, occupancy
+  /// The shard loop of every mode: ingress block drain -> optional
+  /// event-time reorder -> partition dispatch into the resident
+  /// DetPipelines (per event with the control plane's host signals in
+  /// adaptive mode), plus the checkpoint service, latency marks, occupancy
   /// meter and idle backoff.
   void run_shard(Shard& shard);
-  void run_adaptive_shard(Shard& shard);
   /// Runs one migration marker on its shard: an export parks the
   /// partition's pipeline in the mailbox, an import adopts it from there.
   void adopt_or_hand_off(Shard& shard, const Event& marker);

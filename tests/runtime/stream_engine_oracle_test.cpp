@@ -283,6 +283,8 @@ TEST(StreamEngineOracle, AdaptiveShardsRunFullLifecycle) {
     EXPECT_GT(s.events, 0u) << "shard " << s.shard << " starved";
     EXPECT_EQ(s.shed_drops, 0u) << "idle rings must never trigger shedding";
     EXPECT_FALSE(s.shedding_ever_active);
+    EXPECT_GT(s.busy_seconds, 0.0);
+    EXPECT_GT(s.depth_samples, 0u);
   }
   EXPECT_EQ(shard_events, events.size());
   // finish() flushed every shard's pending window: all blocks became
